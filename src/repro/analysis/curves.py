@@ -12,11 +12,15 @@ A curve is built from bucket statistics plus an ordering:
 
 Each curve point (x, y) reads: the ``x`` percent least-confident dynamic
 branches capture ``y`` percent of all mispredictions.
+
+A curve is stored as four column arrays (x, y, bucket, bucket rate); the
+queries run on the columns, and :class:`CurvePoint` objects are built
+only when :attr:`ConfidenceCurve.points` is read.  A 16-bit CIR curve has
+up to 2**16 points, and most callers only ask it a handful of questions.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -24,6 +28,9 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.analysis.buckets import BucketStatistics
+
+FloatArray = npt.NDArray[np.float64]
+IntArray = npt.NDArray[np.int64]
 
 
 @dataclass(frozen=True)
@@ -44,13 +51,47 @@ class ConfidenceCurve:
     """Cumulative mispredictions versus cumulative dynamic branches."""
 
     def __init__(self, name: str, points: Sequence[CurvePoint]) -> None:
-        self._name = name
-        self._points = list(points)
-        xs = [point.dynamic_percent for point in self._points]
-        if any(b > a + 1e-9 for a, b in zip(xs[1:], xs)):
+        points = list(points)
+        self._init_columns(
+            name,
+            np.array([p.dynamic_percent for p in points], dtype=np.float64),
+            np.array([p.misprediction_percent for p in points], dtype=np.float64),
+            np.array([p.bucket for p in points], dtype=np.int64),
+            np.array([p.bucket_rate for p in points], dtype=np.float64),
+        )
+        self._points = points
+
+    def _init_columns(
+        self,
+        name: str,
+        xs: FloatArray,
+        ys: FloatArray,
+        buckets: IntArray,
+        rates: FloatArray,
+    ) -> None:
+        """Adopt the column arrays; x must be non-decreasing (1e-9 slack)."""
+        if np.any(xs[:-1] > xs[1:] + 1e-9):
             raise ValueError("curve points must have non-decreasing x")
-        self._xs = xs
-        self._ys = [point.misprediction_percent for point in self._points]
+        self._name = name
+        # The origin-prefixed series: the queries interpolate through it.
+        self._series_x = np.concatenate(([0.0], xs))
+        self._series_y = np.concatenate(([0.0], ys))
+        self._buckets = buckets
+        self._rates = rates
+        self._points: Optional[List[CurvePoint]] = None
+
+    @classmethod
+    def _from_columns(
+        cls,
+        name: str,
+        xs: FloatArray,
+        ys: FloatArray,
+        buckets: IntArray,
+        rates: FloatArray,
+    ) -> "ConfidenceCurve":
+        curve = cls.__new__(cls)
+        curve._init_columns(name, xs, ys, buckets, rates)
+        return curve
 
     # ----- construction -----------------------------------------------------
 
@@ -86,20 +127,20 @@ class ConfidenceCurve:
         total_mispredicts = mispredicts.sum()
         if total == 0:
             return cls(name, [])
-        cumulative_counts = np.cumsum(counts[order_arr])
-        cumulative_mispredicts = np.cumsum(mispredicts[order_arr])
-        points = []
-        for position, bucket in enumerate(order_arr.tolist()):
-            dynamic_percent = float(100.0 * cumulative_counts[position] / total)
-            if total_mispredicts > 0:
-                mis_percent = float(
-                    100.0 * cumulative_mispredicts[position] / total_mispredicts
-                )
-            else:
-                mis_percent = 100.0
-            rate = float(mispredicts[bucket] / counts[bucket])
-            points.append(CurvePoint(dynamic_percent, mis_percent, bucket, rate))
-        return cls(name, points)
+        ordered_counts = counts[order_arr]
+        ordered_mispredicts = mispredicts[order_arr]
+        xs = 100.0 * np.cumsum(ordered_counts) / total
+        if total_mispredicts > 0:
+            ys = 100.0 * np.cumsum(ordered_mispredicts) / total_mispredicts
+        else:
+            ys = np.full_like(xs, 100.0)
+        return cls._from_columns(
+            name,
+            xs,
+            ys,
+            order_arr.astype(np.int64, copy=False),
+            ordered_mispredicts / ordered_counts,
+        )
 
     # ----- access -----------------------------------------------------------
 
@@ -109,18 +150,45 @@ class ConfidenceCurve:
 
     @property
     def points(self) -> List[CurvePoint]:
+        if self._points is None:
+            self._points = [
+                CurvePoint(x, y, bucket, rate)
+                for x, y, bucket, rate in zip(
+                    self._series_x[1:].tolist(),
+                    self._series_y[1:].tolist(),
+                    self._buckets.tolist(),
+                    self._rates.tolist(),
+                )
+            ]
         return list(self._points)
 
     def __len__(self) -> int:
-        return len(self._points)
+        return int(self._buckets.size)
 
     def as_series(
         self,
     ) -> "tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]":
         """(x, y) arrays including the implicit origin."""
-        xs = np.concatenate(([0.0], np.asarray(self._xs, dtype=np.float64)))
-        ys = np.concatenate(([0.0], np.asarray(self._ys, dtype=np.float64)))
-        return xs, ys
+        return self._series_x.copy(), self._series_y.copy()
+
+    def _point(self, position: int) -> CurvePoint:
+        """The ``position``-th point, built from the columns."""
+        return CurvePoint(
+            float(self._series_x[position + 1]),
+            float(self._series_y[position + 1]),
+            int(self._buckets[position]),
+            float(self._rates[position]),
+        )
+
+    def _take(self, positions: IntArray) -> "ConfidenceCurve":
+        """A curve of the points at ``positions`` (in the given order)."""
+        return ConfidenceCurve._from_columns(
+            self._name,
+            self._series_x[1:][positions],
+            self._series_y[1:][positions],
+            self._buckets[positions],
+            self._rates[positions],
+        )
 
     # ----- queries ----------------------------------------------------------
 
@@ -134,16 +202,16 @@ class ConfidenceCurve:
         """
         if not 0.0 <= dynamic_percent <= 100.0:
             raise ValueError(f"dynamic_percent must be in [0, 100], got {dynamic_percent}")
-        if not self._points:
+        if not len(self):
             return 0.0
-        xs, ys = [0.0] + self._xs, [0.0] + self._ys
-        position = bisect.bisect_left(xs, dynamic_percent)
-        if position >= len(xs):
-            return ys[-1]
+        xs, ys = self._series_x, self._series_y
+        position = int(np.searchsorted(xs, dynamic_percent, side="left"))
+        if position >= xs.size:
+            return float(ys[-1])
         if xs[position] == dynamic_percent or position == 0:
-            return ys[position]
-        x0, x1 = xs[position - 1], xs[position]
-        y0, y1 = ys[position - 1], ys[position]
+            return float(ys[position])
+        x0, x1 = float(xs[position - 1]), float(xs[position])
+        y0, y1 = float(ys[position - 1]), float(ys[position])
         if x1 == x0:
             return y1
         return y0 + (y1 - y0) * (dynamic_percent - x0) / (x1 - x0)
@@ -155,11 +223,9 @@ class ConfidenceCurve:
         This is how an offline curve is turned into an online threshold
         (see :class:`repro.core.threshold.ThresholdConfidence`).
         """
-        selected: List[int] = []
-        for point in self._points:
-            if point.dynamic_percent > max_dynamic_percent + 1e-9:
-                break
-            selected.append(point.bucket)
+        beyond = np.flatnonzero(self._series_x[1:] > max_dynamic_percent + 1e-9)
+        stop = int(beyond[0]) if beyond.size else len(self)
+        selected: List[int] = self._buckets[:stop].tolist()
         return selected
 
     def knee(self) -> CurvePoint:
@@ -171,12 +237,13 @@ class ConfidenceCurve:
         confidence set starts to fall below average — a natural operating
         point for threshold selection.
         """
-        if not self._points:
+        if not len(self):
             raise ValueError("cannot locate the knee of an empty curve")
-        return max(
-            self._points,
-            key=lambda p: p.misprediction_percent - p.dynamic_percent,
-        )
+        # argmax returns the first maximum, as max() over the points did.
+        position = int(np.argmax(self._series_y[1:] - self._series_x[1:]))
+        if self._points is not None:
+            return self._points[position]
+        return self._point(position)
 
     def area_under_curve(self) -> float:
         """Trapezoidal area under the curve, normalized to [0, 1].
@@ -185,7 +252,7 @@ class ConfidenceCurve:
         the diagonal (no information) scores 0.5.  A convenient scalar for
         comparing mechanisms.
         """
-        xs, ys = self.as_series()
+        xs, ys = self._series_x, self._series_y
         if xs[-1] < 100.0:
             xs = np.concatenate((xs, [100.0]))
             ys = np.concatenate((ys, [100.0]))
@@ -198,21 +265,22 @@ class ConfidenceCurve:
         kept point (the paper plots "only those points that differ from a
         previous point by 2.5 percent").  The final point is always kept.
         """
-        if not self._points:
+        count = len(self)
+        if not count:
             return ConfidenceCurve(self._name, [])
-        kept = [self._points[0]]
-        for point in self._points[1:-1]:
+        xs = self._series_x[1:].tolist()
+        ys = self._series_y[1:].tolist()
+        kept = [0]
+        for position in range(1, count - 1):
             previous = kept[-1]
             if (
-                point.dynamic_percent - previous.dynamic_percent
-                >= min_spacing_percent
-                or point.misprediction_percent - previous.misprediction_percent
-                >= min_spacing_percent
+                xs[position] - xs[previous] >= min_spacing_percent
+                or ys[position] - ys[previous] >= min_spacing_percent
             ):
-                kept.append(point)
-        if len(self._points) > 1:
-            kept.append(self._points[-1])
-        return ConfidenceCurve(self._name, kept)
+                kept.append(position)
+        if count > 1:
+            kept.append(count - 1)
+        return self._take(np.asarray(kept, dtype=np.int64))
 
     def __repr__(self) -> str:
-        return f"ConfidenceCurve(name={self._name!r}, points={len(self._points)})"
+        return f"ConfidenceCurve(name={self._name!r}, points={len(self)})"

@@ -38,7 +38,11 @@ from repro.experiments.runner import one_level_pattern_statistics
 
 @dataclass(frozen=True)
 class CrossValidationResult:
-    """Self-tuned vs transferred vs structural capture per benchmark."""
+    """Self-tuned vs transferred vs structural capture per benchmark.
+
+    Empty mappings mean the run was skipped: leave-one-out needs at least
+    two benchmarks, one held out and one to design on.
+    """
 
     self_tuned: Dict[str, float]
     cross_validated: Dict[str, float]
@@ -58,6 +62,8 @@ class CrossValidationResult:
     def structural_beats_transferred(self) -> bool:
         """The paper's §5 case: the fixed structural reduction outperforms
         the minterm logic tuned on *other* programs, on average."""
+        if not self.resetting:
+            return False
         mean_resetting = sum(self.resetting.values()) / len(self.resetting)
         mean_crossed = sum(self.cross_validated.values()) / len(
             self.cross_validated
@@ -65,6 +71,11 @@ class CrossValidationResult:
         return mean_resetting > mean_crossed
 
     def format(self) -> str:
+        if not self.self_tuned:
+            return (
+                "Extension — leave-one-out reduction design skipped: "
+                "needs ≥ 2 benchmarks"
+            )
         lines = [
             "Extension — leave-one-out reduction design "
             f"(capture @ {self.headline_percent:g}%)",
@@ -100,6 +111,14 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG) -> CrossValidationResult:
     """Leave-one-out evaluation of the ideal reduction's pattern order."""
     from repro.core.reduction import ResettingCountReduction
 
+    if len(config.benchmarks) < 2:
+        # Nothing to train on once the only benchmark is held out.
+        return CrossValidationResult(
+            self_tuned={},
+            cross_validated={},
+            resetting={},
+            headline_percent=config.headline_percent,
+        )
     per_benchmark = one_level_pattern_statistics(config, "pc_xor_bhr")
     reduction = ResettingCountReduction(config.cir_bits)
     reduction_lut = reduction.vectorized(

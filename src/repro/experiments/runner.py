@@ -1,8 +1,10 @@
 """Shared stream/statistics helpers for the experiment modules.
 
-Everything here runs on the fast path (:mod:`repro.sim.fast`) with the
-predictor sweeps memoized per (benchmark, predictor geometry).  The
-helpers return *per-benchmark* statistics dictionaries; experiments
+Predictor sweeps are memoized per (benchmark, predictor geometry), and
+every confidence-table statistics request — a figure's whole grid or a
+single ``*_statistics`` helper call — is one :class:`SweepRequest`
+answered from the content-keyed sweep tier (stream key + grid digest).
+The helpers return *per-benchmark* statistics dictionaries; experiments
 combine them with the paper's equal-branch-count weighting.
 """
 
@@ -21,6 +23,7 @@ from repro.sim.batched import (
     PATTERN,
     RESETTING,
     SATURATING,
+    TWO_LEVEL,
     GridObserver,
     SweepSpec,
     grid_digest,
@@ -178,21 +181,17 @@ def suite_stream_chunks(config: ExperimentConfig, benchmark: str):
 
 def _fold_chunk_statistics(
     config: ExperimentConfig,
+    benchmark: str,
     num_buckets: int,
     observe: "Callable[[StreamChunk], np.ndarray]",
-) -> "Callable[[str], BucketStatistics]":
-    """Build a per-benchmark fold: chunks -> summed bucket statistics."""
-
-    def fold(benchmark: str) -> BucketStatistics:
-        total = BucketStatistics.zeros(num_buckets)
-        for chunk in suite_stream_chunks(config, benchmark):
-            buckets = observe(chunk)
-            total = total + BucketStatistics.from_streams(
-                buckets, chunk.correct, num_buckets=num_buckets
-            )
-        return total
-
-    return fold
+) -> BucketStatistics:
+    """Fold one benchmark's chunks into summed bucket statistics."""
+    total = BucketStatistics.zeros(num_buckets)
+    for chunk in suite_stream_chunks(config, benchmark):
+        total = total + BucketStatistics.from_streams(
+            observe(chunk), chunk.correct, num_buckets=num_buckets
+        )
+    return total
 
 
 def _chunk_indices(
@@ -206,6 +205,15 @@ def _chunk_indices(
     return index_function.vectorized(chunk.pcs, chunk.bhrs, gcirs)
 
 
+def _maybe_gcirs(
+    index_function: IndexFunction, streams: PredictorStreams
+) -> np.ndarray:
+    """Global-CIR stream, computed only when the index actually uses it."""
+    if index_function.uses_gcir:
+        return streams.gcirs
+    return np.zeros(streams.num_branches, dtype=np.int64)
+
+
 def suite_misprediction_rate(config: ExperimentConfig) -> float:
     """Equal-weighted suite misprediction rate of the underlying predictor."""
     rates = [s.misprediction_rate for s in suite_streams(config).values()]
@@ -215,6 +223,13 @@ def suite_misprediction_rate(config: ExperimentConfig) -> float:
 def ones_init(config: ExperimentConfig) -> int:
     """The paper's default CT initialization (all CIR bits set)."""
     return bit_mask(config.cir_bits)
+
+
+def _sweep_one(
+    config: ExperimentConfig, spec: SweepSpec
+) -> Dict[str, BucketStatistics]:
+    """One confidence-table spec over the suite, through the sweep tier."""
+    return sweep_grid(config, [spec])[0]
 
 
 def one_level_pattern_statistics(
@@ -229,46 +244,13 @@ def one_level_pattern_statistics(
     ``index_kind`` picks a paper index ("pc", "bhr", "pc_xor_bhr");
     ``index_function`` overrides it with an arbitrary
     :class:`~repro.core.indexing.IndexFunction` (for the ablations).
+    ``init_patterns`` defaults to the paper's all-ones initialization.
     """
-    if init_patterns is None:
-        init_patterns = ones_init(config)
     if index_function is None:
         index_function = make_index(index_kind, config.ct_index_bits)
-    if config.chunk_size is not None:
-        statistics = {}
-        for name in config.benchmarks:
-            observer = CIRTableObserver(
-                config.cir_bits, index_function.table_entries, init_patterns
-            )
-            fold = _fold_chunk_statistics(
-                config,
-                1 << config.cir_bits,
-                lambda chunk: observer.observe(
-                    _chunk_indices(index_function, chunk), chunk.correct
-                ),
-            )
-            statistics[name] = fold(name)
-        return statistics
-    statistics: Dict[str, BucketStatistics] = {}
-    for name, streams in suite_streams(config).items():
-        gcirs = _maybe_gcirs(index_function, streams)
-        indices = index_function.vectorized(streams.pcs, streams.bhrs, gcirs)
-        patterns = cir_pattern_stream(
-            indices, streams.correct, config.cir_bits, init_patterns
-        )
-        statistics[name] = BucketStatistics.from_streams(
-            patterns, streams.correct, num_buckets=1 << config.cir_bits
-        )
-    return statistics
-
-
-def _maybe_gcirs(
-    index_function: IndexFunction, streams: PredictorStreams
-) -> np.ndarray:
-    """Global-CIR stream, computed only when the index actually uses it."""
-    if index_function.uses_gcir:
-        return streams.gcirs
-    return np.zeros(streams.num_branches, dtype=np.int64)
+    return _sweep_one(
+        config, SweepSpec.pattern(index_function, config.cir_bits, init_patterns)
+    )
 
 
 def two_level_pattern_statistics(
@@ -280,60 +262,16 @@ def two_level_pattern_statistics(
 ) -> Dict[str, BucketStatistics]:
     """Second-level CIR-pattern statistics of a two-level mechanism."""
     if first_index_function is None:
-        first_index = make_index(first_index_kind, config.ct_index_bits)
-    else:
-        first_index = first_index_function
-    init = ones_init(config)
-    if config.chunk_size is not None:
-        statistics = {}
-        for name in config.benchmarks:
-            observer = TwoLevelObserver(
-                level1_cir_bits=config.cir_bits,
-                level2_cir_bits=config.cir_bits,
-                table_entries=first_index.table_entries,
-                second_use_pc=second_use_pc,
-                second_use_bhr=second_use_bhr,
-                level1_init=init,
-                level2_init=init,
-            )
-            fold = _fold_chunk_statistics(
-                config,
-                1 << config.cir_bits,
-                # The monolithic path always feeds the level-1 index a
-                # zero global-CIR stream; match it exactly.
-                lambda chunk: observer.observe(
-                    first_index.vectorized(
-                        chunk.pcs,
-                        chunk.bhrs,
-                        np.zeros(chunk.num_branches, dtype=np.int64),
-                    ),
-                    chunk.correct,
-                    chunk.pcs,
-                    chunk.bhrs,
-                ),
-            )
-            statistics[name] = fold(name)
-        return statistics
-    statistics: Dict[str, BucketStatistics] = {}
-    for name, streams in suite_streams(config).items():
-        gcirs = np.zeros(streams.num_branches, dtype=np.int64)
-        level1_indices = first_index.vectorized(streams.pcs, streams.bhrs, gcirs)
-        patterns = two_level_pattern_stream(
-            level1_indices,
-            streams.correct,
-            streams.pcs,
-            streams.bhrs,
-            level1_cir_bits=config.cir_bits,
-            level2_cir_bits=config.cir_bits,
+        first_index_function = make_index(first_index_kind, config.ct_index_bits)
+    return _sweep_one(
+        config,
+        SweepSpec.two_level(
+            first_index_function,
+            config.cir_bits,
             second_use_pc=second_use_pc,
             second_use_bhr=second_use_bhr,
-            level1_init=init,
-            level2_init=init,
-        )
-        statistics[name] = BucketStatistics.from_streams(
-            patterns, streams.correct, num_buckets=1 << config.cir_bits
-        )
-    return statistics
+        ),
+    )
 
 
 def resetting_counter_statistics(
@@ -348,30 +286,7 @@ def resetting_counter_statistics(
         if ct_index_bits is None:
             ct_index_bits = config.ct_index_bits
         index_function = make_index(index_kind, ct_index_bits)
-    if config.chunk_size is not None:
-        statistics = {}
-        for name in config.benchmarks:
-            observer = ResettingCounterObserver(
-                maximum, index_function.table_entries
-            )
-            fold = _fold_chunk_statistics(
-                config,
-                maximum + 1,
-                lambda chunk: observer.observe(
-                    _chunk_indices(index_function, chunk), chunk.correct
-                ),
-            )
-            statistics[name] = fold(name)
-        return statistics
-    statistics: Dict[str, BucketStatistics] = {}
-    for name, streams in suite_streams(config).items():
-        gcirs = _maybe_gcirs(index_function, streams)
-        indices = index_function.vectorized(streams.pcs, streams.bhrs, gcirs)
-        values = resetting_counter_stream(indices, streams.correct, maximum=maximum)
-        statistics[name] = BucketStatistics.from_streams(
-            values, streams.correct, num_buckets=maximum + 1
-        )
-    return statistics
+    return _sweep_one(config, SweepSpec.resetting(index_function, maximum))
 
 
 def saturating_counter_statistics(
@@ -383,35 +298,7 @@ def saturating_counter_statistics(
     """Saturating-counter bucket statistics (buckets = counter values)."""
     if index_function is None:
         index_function = make_index(index_kind, config.ct_index_bits)
-    if config.chunk_size is not None:
-        statistics = {}
-        for name in config.benchmarks:
-            observer = SaturatingCounterObserver(
-                maximum, index_function.table_entries
-            )
-            fold = _fold_chunk_statistics(
-                config,
-                maximum + 1,
-                lambda chunk: observer.observe(
-                    _chunk_indices(index_function, chunk), chunk.correct
-                ),
-            )
-            statistics[name] = fold(name)
-        return statistics
-    statistics: Dict[str, BucketStatistics] = {}
-    for name, streams in suite_streams(config).items():
-        gcirs = _maybe_gcirs(index_function, streams)
-        indices = index_function.vectorized(streams.pcs, streams.bhrs, gcirs)
-        values = saturating_counter_stream(
-            indices,
-            streams.correct,
-            maximum=maximum,
-            table_entries=index_function.table_entries,
-        )
-        statistics[name] = BucketStatistics.from_streams(
-            values, streams.correct, num_buckets=maximum + 1
-        )
-    return statistics
+    return _sweep_one(config, SweepSpec.saturating(index_function, maximum))
 
 
 def static_branch_statistics(
@@ -488,14 +375,15 @@ def sweep_grid(
 def run_sweep(request: SweepRequest) -> List[Dict[str, BucketStatistics]]:
     """Dispatch one :class:`SweepRequest` to the configured engine.
 
-    Singleton grids always take the per-config path — there is nothing to
-    fuse, and the per-config helpers already carry their own caching.
+    The batched engine serves every grid, singletons included, from the
+    content-keyed sweep tier; ``engine="per-config"`` evaluates each spec
+    with its own per-config kernel (the golden oracle of the batched one).
     """
     config = request.config
     specs = request.specs
     if not specs:
         return []
-    if config.engine == "per-config" or len(specs) == 1:
+    if config.engine == "per-config":
         return [_per_config_spec_statistics(config, spec) for spec in specs]
     return _batched_grid_statistics(config, specs)
 
@@ -503,30 +391,99 @@ def run_sweep(request: SweepRequest) -> List[Dict[str, BucketStatistics]]:
 def _per_config_spec_statistics(
     config: ExperimentConfig, spec: SweepSpec
 ) -> Dict[str, BucketStatistics]:
-    """One grid point through the per-config statistics helpers.
+    """One grid point through its per-config kernel, uncached.
 
-    ``cir_bits`` is cache-exempt (never part of a stream key), so scaling
-    it to the spec width re-reads exactly the same cached streams.
+    Monolithic runs read the full suite streams; chunked runs fold the
+    matching :mod:`repro.sim.chunked` observer over the stream chunks.
     """
+    index_function = spec.index_function
+    num_buckets = spec.num_buckets
+    if config.chunk_size is not None:
+        return {
+            name: _fold_chunk_statistics(
+                config, name, num_buckets, _chunk_observe(spec)
+            )
+            for name in config.benchmarks
+        }
+    statistics: Dict[str, BucketStatistics] = {}
+    for name, streams in suite_streams(config).items():
+        if spec.kind == TWO_LEVEL:
+            # The level-1 index always sees a zero global-CIR stream.
+            gcirs = np.zeros(streams.num_branches, dtype=np.int64)
+        else:
+            gcirs = _maybe_gcirs(index_function, streams)
+        indices = index_function.vectorized(streams.pcs, streams.bhrs, gcirs)
+        if spec.kind == PATTERN:
+            buckets = cir_pattern_stream(
+                indices, streams.correct, spec.width, spec.init
+            )
+        elif spec.kind == RESETTING:
+            buckets = resetting_counter_stream(
+                indices, streams.correct, maximum=spec.width
+            )
+        elif spec.kind == SATURATING:
+            buckets = saturating_counter_stream(
+                indices,
+                streams.correct,
+                maximum=spec.width,
+                table_entries=index_function.table_entries,
+            )
+        else:
+            init = bit_mask(spec.width)
+            buckets = two_level_pattern_stream(
+                indices,
+                streams.correct,
+                streams.pcs,
+                streams.bhrs,
+                level1_cir_bits=spec.width,
+                level2_cir_bits=spec.width,
+                second_use_pc=spec.second_use_pc,
+                second_use_bhr=spec.second_use_bhr,
+                level1_init=init,
+                level2_init=init,
+            )
+        statistics[name] = BucketStatistics.from_streams(
+            buckets, streams.correct, num_buckets=num_buckets
+        )
+    return statistics
+
+
+def _chunk_observe(spec: SweepSpec) -> "Callable[[StreamChunk], np.ndarray]":
+    """A fresh per-config chunk observer for ``spec``: chunk -> buckets."""
+    index_function = spec.index_function
+    entries = index_function.table_entries
+    if spec.kind == TWO_LEVEL:
+        init = bit_mask(spec.width)
+        two_level = TwoLevelObserver(
+            level1_cir_bits=spec.width,
+            level2_cir_bits=spec.width,
+            table_entries=entries,
+            second_use_pc=spec.second_use_pc,
+            second_use_bhr=spec.second_use_bhr,
+            level1_init=init,
+            level2_init=init,
+        )
+        # The level-1 index always sees a zero global-CIR stream, as in
+        # the monolithic path.
+        return lambda chunk: two_level.observe(
+            index_function.vectorized(
+                chunk.pcs,
+                chunk.bhrs,
+                np.zeros(chunk.num_branches, dtype=np.int64),
+            ),
+            chunk.correct,
+            chunk.pcs,
+            chunk.bhrs,
+        )
+    observer: "CIRTableObserver | ResettingCounterObserver | SaturatingCounterObserver"
     if spec.kind == PATTERN:
-        return one_level_pattern_statistics(
-            config.scaled(cir_bits=spec.width),
-            init_patterns=spec.init,
-            index_function=spec.index_function,
-        )
-    if spec.kind == RESETTING:
-        return resetting_counter_statistics(
-            config, maximum=spec.width, index_function=spec.index_function
-        )
-    if spec.kind == SATURATING:
-        return saturating_counter_statistics(
-            config, maximum=spec.width, index_function=spec.index_function
-        )
-    return two_level_pattern_statistics(
-        config.scaled(cir_bits=spec.width),
-        second_use_pc=spec.second_use_pc,
-        second_use_bhr=spec.second_use_bhr,
-        first_index_function=spec.index_function,
+        observer = CIRTableObserver(spec.width, entries, spec.init)
+    elif spec.kind == RESETTING:
+        observer = ResettingCounterObserver(spec.width, entries)
+    else:
+        observer = SaturatingCounterObserver(spec.width, entries)
+    return lambda chunk: observer.observe(
+        _chunk_indices(index_function, chunk), chunk.correct
     )
 
 

@@ -8,7 +8,8 @@ trace length, seed, predictor geometry, record widths), so a cached entry
 is always interchangeable with a fresh sweep.
 
 Tier 1 is a bounded per-process memo (identical objects on repeat
-lookups); tier 2 is the persistent content-keyed ``.npz`` store in
+lookups; the sweep-result memo is bounded by resident bytes); tier 2 is
+the persistent content-keyed ``.npz`` store in
 :mod:`repro.sim.diskcache`, shared across processes, CLI invocations, and
 parallel workers.  Cache traffic is counted through
 :mod:`repro.observability` (``stream_cache.memory_hits`` /
@@ -18,7 +19,7 @@ parallel workers.  Cache traffic is counted through
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,14 +55,19 @@ if TYPE_CHECKING:  # analysis imports sim; keep the runtime edge one-way
 #: Upper bound on distinct sweeps kept in process memory.
 MEMORY_TIER_MAXSIZE = 128
 
-#: Upper bound on distinct batched grid results kept in process memory.
-#: Entries are per-spec bucket statistics — a few KiB each, so a larger
-#: budget than the stream tier would buy nothing.
-SWEEP_MEMORY_TIER_MAXSIZE = 128
+#: Upper bound on the resident bytes of the in-process sweep-result memo.
+#: A 2**16-bucket statistics entry is 1 MiB (two float64 arrays), so the
+#: memo holds about eight CIR-pattern results; an evicted entry costs a
+#: few-millisecond disk load against tens of milliseconds to recompute.
+SWEEP_MEMORY_TIER_MAX_BYTES = 8 << 20
 
 _memory: "OrderedDict[StreamKey, PredictorStreams]" = OrderedDict()
 
-_sweep_memory: "OrderedDict[SweepKey, List[BucketStatistics]]" = OrderedDict()
+#: Sweep key -> (per-spec statistics, resident bytes), least recent first.
+_sweep_memory: "OrderedDict[SweepKey, Tuple[List[BucketStatistics], int]]" = (
+    OrderedDict()
+)
+_sweep_memory_bytes = 0
 
 
 def _load_any_benchmark(name: str, length: int, seed: int) -> Trace:
@@ -338,18 +344,34 @@ def sweep_result_key(
     )
 
 
+def _remember_sweep(
+    key: SweepKey, statistics: "Sequence[BucketStatistics]"
+) -> None:
+    """Insert into the sweep memo, evicting least-recent entries to the
+    byte bound (an entry larger than the whole bound is not kept)."""
+    global _sweep_memory_bytes
+    entry = list(statistics)
+    size = sum(stats.counts.nbytes + stats.mispredicts.nbytes for stats in entry)
+    previous = _sweep_memory.pop(key, None)
+    if previous is not None:
+        _sweep_memory_bytes -= previous[1]
+    _sweep_memory[key] = (entry, size)
+    _sweep_memory_bytes += size
+    while _sweep_memory_bytes > SWEEP_MEMORY_TIER_MAX_BYTES:
+        _, (_, evicted) = _sweep_memory.popitem(last=False)
+        _sweep_memory_bytes -= evicted
+
+
 def load_sweep_results(key: SweepKey) -> "Optional[List[BucketStatistics]]":
     """Memory-then-disk lookup of one benchmark's batched grid statistics."""
     cached = _sweep_memory.get(key)
     if cached is not None:
         _sweep_memory.move_to_end(key)
         observability.increment("sweep_cache.memory_hits")
-        return list(cached)
+        return list(cached[0])
     loaded = load_cached_sweep(key)
     if loaded is not None:
-        _sweep_memory[key] = list(loaded)
-        while len(_sweep_memory) > SWEEP_MEMORY_TIER_MAXSIZE:
-            _sweep_memory.popitem(last=False)
+        _remember_sweep(key, loaded)
     return loaded
 
 
@@ -357,9 +379,7 @@ def store_sweep_results(
     key: SweepKey, statistics: "Sequence[BucketStatistics]"
 ) -> None:
     """Publish one benchmark's batched grid statistics to both tiers."""
-    _sweep_memory[key] = list(statistics)
-    while len(_sweep_memory) > SWEEP_MEMORY_TIER_MAXSIZE:
-        _sweep_memory.popitem(last=False)
+    _remember_sweep(key, statistics)
     store_cached_sweep(key, statistics)
 
 
@@ -368,11 +388,22 @@ def memory_tier_info() -> Dict[str, int]:
     return {"entries": len(_memory), "maxsize": MEMORY_TIER_MAXSIZE}
 
 
+def sweep_memory_tier_info() -> Dict[str, int]:
+    """Entries and resident bytes of the in-process sweep-result memo."""
+    return {
+        "entries": len(_sweep_memory),
+        "bytes": _sweep_memory_bytes,
+        "max_bytes": SWEEP_MEMORY_TIER_MAX_BYTES,
+    }
+
+
 def clear_stream_cache() -> None:
     """Drop the in-process memos (streams + sweep results; mainly for tests).
 
     The persistent tier is cleared separately with
     :func:`repro.sim.diskcache.clear_disk_cache`.
     """
+    global _sweep_memory_bytes
     _memory.clear()
     _sweep_memory.clear()
+    _sweep_memory_bytes = 0

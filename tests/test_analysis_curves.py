@@ -1,11 +1,13 @@
 """Unit tests for confidence-curve construction and queries."""
 
+import bisect
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import BucketStatistics, ConfidenceCurve
+from repro.analysis import BucketStatistics, ConfidenceCurve, CurvePoint
 
 
 def stats(counts, mispredicts):
@@ -172,3 +174,200 @@ class TestKnee:
         curve = ConfidenceCurve.from_statistics(stats([5, 5], [1, 1]))
         knee = curve.knee()
         assert 0 < knee.dynamic_percent <= 100
+
+
+# ----- parity with the per-point construction -------------------------------
+#
+# The oracle below is the per-point construction and the list-based queries
+# that curves used before they became column arrays.  The array-native
+# curve must agree with it exactly (float equality, not approx): reports
+# print these numbers, and every report must stay byte-identical.
+
+
+def _oracle_points(statistics, order=None):
+    counts = statistics.counts
+    mispredicts = statistics.mispredicts
+    if order is None:
+        rates = statistics.rates()
+        occupied = np.flatnonzero(counts > 0)
+        order_arr = occupied[np.lexsort((occupied, -rates[occupied]))]
+    else:
+        order_arr = np.asarray(list(order), dtype=np.int64)
+        if order_arr.size and (
+            order_arr.min() < 0 or order_arr.max() >= statistics.num_buckets
+        ):
+            raise ValueError("order contains bucket ids out of range")
+        order_arr = order_arr[counts[order_arr] > 0]
+    total = counts.sum()
+    total_mispredicts = mispredicts.sum()
+    if total == 0:
+        return []
+    cumulative_counts = np.cumsum(counts[order_arr])
+    cumulative_mispredicts = np.cumsum(mispredicts[order_arr])
+    points = []
+    for position, bucket in enumerate(order_arr.tolist()):
+        dynamic_percent = float(100.0 * cumulative_counts[position] / total)
+        if total_mispredicts > 0:
+            mis_percent = float(
+                100.0 * cumulative_mispredicts[position] / total_mispredicts
+            )
+        else:
+            mis_percent = 100.0
+        rate = float(mispredicts[bucket] / counts[bucket])
+        points.append(CurvePoint(dynamic_percent, mis_percent, bucket, rate))
+    return points
+
+
+def _oracle_captured_at(points, dynamic_percent):
+    if not points:
+        return 0.0
+    xs = [0.0] + [p.dynamic_percent for p in points]
+    ys = [0.0] + [p.misprediction_percent for p in points]
+    position = bisect.bisect_left(xs, dynamic_percent)
+    if position >= len(xs):
+        return ys[-1]
+    if xs[position] == dynamic_percent or position == 0:
+        return ys[position]
+    x0, x1 = xs[position - 1], xs[position]
+    y0, y1 = ys[position - 1], ys[position]
+    if x1 == x0:
+        return y1
+    return y0 + (y1 - y0) * (dynamic_percent - x0) / (x1 - x0)
+
+
+def _oracle_low_confidence(points, max_dynamic_percent):
+    selected = []
+    for point in points:
+        if point.dynamic_percent > max_dynamic_percent + 1e-9:
+            break
+        selected.append(point.bucket)
+    return selected
+
+
+def _oracle_sparsified(points, min_spacing_percent):
+    if not points:
+        return []
+    kept = [points[0]]
+    for point in points[1:-1]:
+        previous = kept[-1]
+        if (
+            point.dynamic_percent - previous.dynamic_percent >= min_spacing_percent
+            or point.misprediction_percent - previous.misprediction_percent
+            >= min_spacing_percent
+        ):
+            kept.append(point)
+    if len(points) > 1:
+        kept.append(points[-1])
+    return kept
+
+
+def _oracle_area(points):
+    xs = np.asarray([0.0] + [p.dynamic_percent for p in points], dtype=np.float64)
+    ys = np.asarray(
+        [0.0] + [p.misprediction_percent for p in points], dtype=np.float64
+    )
+    if xs[-1] < 100.0:
+        xs = np.concatenate((xs, [100.0]))
+        ys = np.concatenate((ys, [100.0]))
+    return float(np.sum((xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1]) / 2.0)) / (
+        100.0 * 100.0
+    )
+
+
+@st.composite
+def _statistics_and_order(draw):
+    """Small-integer buckets (zero buckets, rate ties), optionally
+    fractionally weighted, with zero mispredicts and explicit orders."""
+    num_buckets = draw(st.integers(1, 24))
+    counts = draw(
+        st.lists(st.integers(0, 12), min_size=num_buckets, max_size=num_buckets)
+    )
+    if draw(st.booleans()):
+        mispredicts = [0] * num_buckets
+    else:
+        mispredicts = [
+            draw(st.integers(0, count)) for count in counts
+        ]
+    scale = draw(st.sampled_from([1.0, 1.0 / 3.0, 0.1, 1.0 / 7.0]))
+    statistics = stats(counts, mispredicts).scaled(scale)
+    if draw(st.booleans()):
+        order = None
+    else:
+        # A subset of ids in any order, unoccupied ones included.
+        order = draw(
+            st.lists(st.integers(0, num_buckets - 1), unique=True, max_size=num_buckets)
+        )
+    return statistics, order
+
+
+X_GRID = [0.0, 1e-9, 0.5, 2.5, 10.0, 20.0, 100.0 / 3.0, 50.0, 99.5, 100.0]
+
+
+class TestArrayNativeParity:
+    @settings(max_examples=300, deadline=None)
+    @given(_statistics_and_order(), st.sampled_from([0.0, 1.0, 2.5, 10.0]))
+    # A diagonal curve: every point ties for the knee, the first must win.
+    @example((stats([5, 5], [1, 1]), None), 2.5)
+    def test_matches_per_point_oracle(self, case, spacing):
+        statistics, order = case
+        expected = _oracle_points(statistics, order)
+        curve = ConfidenceCurve.from_statistics(statistics, order=order, name="c")
+        assert curve.points == expected
+        assert len(curve) == len(expected)
+        grid = X_GRID + [p.dynamic_percent for p in expected if p.dynamic_percent <= 100.0]
+        for x in grid:
+            assert curve.mispredictions_captured_at(x) == _oracle_captured_at(
+                expected, x
+            )
+            assert curve.low_confidence_buckets(x) == _oracle_low_confidence(
+                expected, x
+            )
+        if expected:
+            assert curve.knee() == max(
+                expected, key=lambda p: p.misprediction_percent - p.dynamic_percent
+            )
+        else:
+            with pytest.raises(ValueError):
+                curve.knee()
+        sparse = curve.sparsified(spacing)
+        assert sparse.name == "c"
+        assert sparse.points == _oracle_sparsified(expected, spacing)
+        assert curve.area_under_curve() == _oracle_area(expected)
+        # The point-list constructor stays equivalent to the columns.
+        rebuilt = ConfidenceCurve("c", expected)
+        assert rebuilt.points == expected
+        assert rebuilt.area_under_curve() == curve.area_under_curve()
+        for x in X_GRID:
+            assert rebuilt.mispredictions_captured_at(
+                x
+            ) == curve.mispredictions_captured_at(x)
+
+    @given(_statistics_and_order(), st.sampled_from([-1, 0]))
+    def test_out_of_range_order_raises(self, case, offset):
+        statistics, _ = case
+        bad = -1 if offset < 0 else statistics.num_buckets
+        for build in (_oracle_points, ConfidenceCurve.from_statistics):
+            with pytest.raises(ValueError, match="out of range"):
+                build(statistics, [0, bad])
+
+    def test_point_constructor_duplicate_x_matches_oracle(self):
+        """Equal x values: queries resolve to the first of them."""
+        points = [
+            CurvePoint(20.0, 30.0, 0, 0.5),
+            CurvePoint(20.0, 50.0, 1, 0.5),
+            CurvePoint(60.0, 90.0, 2, 0.1),
+        ]
+        curve = ConfidenceCurve("dup", points)
+        for x in X_GRID + [20.0, 60.0]:
+            assert curve.mispredictions_captured_at(x) == _oracle_captured_at(
+                points, x
+            )
+        assert curve.knee() is points[1]
+        assert curve.points == points
+
+    def test_point_constructor_rejects_decreasing_x(self):
+        points = [CurvePoint(50.0, 60.0, 0, 0.5), CurvePoint(40.0, 70.0, 1, 0.1)]
+        with pytest.raises(ValueError, match="non-decreasing"):
+            ConfidenceCurve("bad", points)
+        # Within the 1e-9 slack is accepted, as before.
+        ConfidenceCurve("ok", [points[0], CurvePoint(50.0 - 1e-10, 70.0, 1, 0.1)])

@@ -4,7 +4,8 @@ The batched engine (:mod:`repro.sim.batched`) is an execution strategy,
 not a model change: everywhere it is reachable it must produce results
 bit-identical to the per-config path.  This suite pins that contract at
 three levels — the full experiment registry, the :func:`sweep_grid`
-statistics across chunk sizes and job counts, and the raw kernel on
+statistics across chunk sizes and job counts (singleton grids and the
+direct ``*_statistics`` helpers included), and the raw kernel on
 hypothesis-generated ragged grids — plus the parity bugfixes that rode
 along (serial-report metrics lifecycle, config range validation, fig10
 stream dedupe).
@@ -26,9 +27,19 @@ from repro.experiments.registry import (
     run_all_reports,
     run_experiment_report,
 )
-from repro.experiments.runner import sweep_grid
+from repro.experiments.runner import (
+    one_level_pattern_statistics,
+    resetting_counter_statistics,
+    saturating_counter_statistics,
+    sweep_grid,
+    two_level_pattern_statistics,
+)
 from repro.sim.batched import GridObserver, SweepSpec
-from repro.sim.cache import clear_stream_cache
+from repro.sim.cache import (
+    SWEEP_MEMORY_TIER_MAX_BYTES,
+    clear_stream_cache,
+    sweep_memory_tier_info,
+)
 from repro.sim.chunked import (
     CIRTableObserver,
     ResettingCounterObserver,
@@ -124,10 +135,104 @@ class TestSweepGridGolden:
         per_config = sweep_grid(config.scaled(engine="per-config"), specs)
         _assert_grid_results_equal(batched, per_config)
 
-    def test_singleton_grid_routes_per_config(self, cache_dir):
+    def test_singleton_requests_use_sweep_tier(self, cache_dir):
+        """Singleton grids and direct helper calls live in the sweep tier.
+
+        Cold, each request sweeps every benchmark once; a repeat in the
+        same process hits the memo; a new process on the same disk loads
+        every result and sweeps nothing.
+        """
         config = CONFIG.scaled(trace_length=1200)
-        specs = [SweepSpec.pattern(make_index("pc_xor_bhr", config.ct_index_bits), 4)]
-        sweep_grid(config, specs)
+        benchmarks = len(config.benchmarks)
+        index = make_index("pc_xor_bhr", config.ct_index_bits)
+        requests = [
+            lambda: sweep_grid(config, [SweepSpec.pattern(index, 4)])[0],
+            lambda: one_level_pattern_statistics(config, "pc"),
+            lambda: two_level_pattern_statistics(config, second_use_pc=True),
+            lambda: resetting_counter_statistics(config, maximum=8),
+            lambda: saturating_counter_statistics(config, maximum=4),
+        ]
+        cold = []
+        for request in requests:
+            observability.reset_metrics()
+            cold.append(request())
+            assert observability.counter_value("batched.grid_sweeps") == benchmarks
+            assert observability.counter_value("sweep_cache.stores") == benchmarks
+
+        observability.reset_metrics()
+        memo = [request() for request in requests]
+        assert observability.counter_value("batched.grid_sweeps") == 0
+        assert observability.counter_value("sweep_cache.memory_hits") == (
+            benchmarks * len(requests)
+        )
+
+        clear_stream_cache()
+        observability.reset_metrics()
+        disk = [request() for request in requests]
+        assert observability.counter_value("batched.grid_sweeps") == 0
+        assert observability.counter_value("stream_cache.disk_hits") == 0
+        assert observability.counter_value("sweep_cache.disk_hits") == (
+            benchmarks * len(requests)
+        )
+        _assert_grid_results_equal(cold, memo)
+        _assert_grid_results_equal(cold, disk)
+
+    @pytest.mark.parametrize("chunk_size", [None, 512])
+    def test_helpers_bit_identical_to_per_config(self, cache_dir, chunk_size):
+        config = CONFIG.scaled(trace_length=1500, chunk_size=chunk_size)
+        gcir_index = XorIndex(
+            config.ct_index_bits, use_pc=True, use_bhr=True, use_gcir=True
+        )
+
+        def helpers(engine):
+            scaled = config.scaled(engine=engine)
+            return [
+                one_level_pattern_statistics(scaled),
+                one_level_pattern_statistics(scaled, index_function=gcir_index),
+                one_level_pattern_statistics(
+                    scaled.scaled(cir_bits=5), "bhr", init_patterns=0
+                ),
+                two_level_pattern_statistics(scaled, second_use_bhr=True),
+                resetting_counter_statistics(scaled, maximum=6, ct_index_bits=7),
+                saturating_counter_statistics(scaled, maximum=3, index_kind="pc"),
+            ]
+
+        batched = helpers("batched")
+        assert observability.counter_value("batched.grid_sweeps") > 0
+        clear_stream_cache()
+        observability.reset_metrics()
+        per_config = helpers("per-config")
+        assert observability.counter_value("batched.grid_sweeps") == 0
+        _assert_grid_results_equal(batched, per_config)
+
+    def test_sweep_memo_stays_within_byte_bound(self, cache_dir):
+        """Results larger in sum than the bound evict least-recent first."""
+        config = CONFIG.scaled(trace_length=600)
+        index = make_index("pc_xor_bhr", config.ct_index_bits)
+        # A 16-bit CIR result is 1 MiB per benchmark; sweep enough distinct
+        # inits to overflow the memo several times over.
+        entry_bytes = 2 * 8 * (1 << 16)
+        inits = SWEEP_MEMORY_TIER_MAX_BYTES // entry_bytes + 3
+        for init in range(inits):
+            sweep_grid(config, [SweepSpec.pattern(index, 16, init=init)])
+            info = sweep_memory_tier_info()
+            assert info["bytes"] <= info["max_bytes"] == SWEEP_MEMORY_TIER_MAX_BYTES
+        info = sweep_memory_tier_info()
+        assert info["entries"] == SWEEP_MEMORY_TIER_MAX_BYTES // entry_bytes
+        assert info["bytes"] == info["entries"] * entry_bytes
+
+        # The most recent result is still a memo hit; the oldest reloads
+        # from disk without a sweep.
+        observability.reset_metrics()
+        sweep_grid(config, [SweepSpec.pattern(index, 16, init=inits - 1)])
+        assert observability.counter_value("sweep_cache.memory_hits") == len(
+            config.benchmarks
+        )
+        observability.reset_metrics()
+        sweep_grid(config, [SweepSpec.pattern(index, 16, init=0)])
+        assert observability.counter_value("sweep_cache.disk_hits") == len(
+            config.benchmarks
+        )
         assert observability.counter_value("batched.grid_sweeps") == 0
 
     def test_per_config_engine_never_runs_kernel(self, cache_dir):

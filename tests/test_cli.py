@@ -113,3 +113,16 @@ class TestRunAll:
 
         for experiment_id in EXPERIMENTS:
             assert f"=== {experiment_id}:" in output
+
+    def test_run_all_single_benchmark(self, capsys):
+        """Regression: leave-one-out crossval used to crash run-all with a
+        raw ValueError on a one-benchmark suite; it now reports a skip."""
+        code = main(["run-all", "--length", "1500", "--benchmarks", "gcc"])
+        assert code == 0
+        output = capsys.readouterr().out
+        report = output.split("=== extension-crossval:", 1)[1].splitlines()
+        assert report[1] == (
+            "Extension — leave-one-out reduction design skipped: "
+            "needs ≥ 2 benchmarks"
+        )
+        assert not report[2:] or not report[2].strip()
