@@ -10,7 +10,6 @@ consume any application's result without per-application parsing.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Protocol, runtime_checkable
 
 
@@ -25,24 +24,3 @@ class AppReport(Protocol):
     def to_dict(self) -> Dict:
         """JSON-serializable record: application, headline, per_benchmark."""
         ...
-
-
-def deprecated_alias(old_name: str, new_name: str) -> property:
-    """A read-only property forwarding ``old_name`` to ``new_name``.
-
-    Keeps historical attribute names (e.g. ``per_benchmark_speedup``)
-    working while steering callers to the unified ``per_benchmark``.
-    """
-
-    def getter(self):
-        warnings.warn(
-            f"{type(self).__name__}.{old_name} is deprecated; "
-            f"use {new_name} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(self, new_name)
-
-    getter.__name__ = old_name
-    getter.__doc__ = f"Deprecated alias of :attr:`{new_name}`."
-    return property(getter)

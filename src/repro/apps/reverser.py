@@ -27,7 +27,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.apps.report import deprecated_alias
 from repro.core.indexing import make_index
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
 from repro.experiments.runner import ones_init, suite_streams
@@ -90,10 +89,6 @@ class ReverserReport:
             },
             "per_benchmark": dict(self.per_benchmark),
         }
-
-    per_benchmark_pattern_gain = deprecated_alias(
-        "per_benchmark_pattern_gain", "per_benchmark"
-    )
 
     __str__ = format
 

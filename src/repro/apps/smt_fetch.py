@@ -28,7 +28,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.apps.report import deprecated_alias
 from repro.core.indexing import make_index
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
 from repro.experiments.runner import suite_streams
@@ -88,8 +87,6 @@ class SMTFetchReport:
             },
             "per_benchmark": dict(self.per_benchmark),
         }
-
-    per_benchmark_gain = deprecated_alias("per_benchmark_gain", "per_benchmark")
 
     __str__ = format
 

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.workloads.ibs import DEFAULT_TRACE_LENGTH, benchmark_names
-
-#: Valid values of :attr:`ExperimentConfig.engine`.
-ENGINES = ("batched", "per-config")
+from repro.workloads.spec_like import spec_benchmark_names
 
 
 @dataclass(frozen=True)
@@ -60,12 +58,6 @@ class ExperimentConfig:
     #: Seconds to wait for one parallel worker task before it is counted
     #: as timed out and retried (None = wait indefinitely).
     task_timeout: Optional[float] = None  # reprolint: cache-exempt - fault-handling knob
-    #: Sweep engine: "batched" fuses each experiment's config grid into
-    #: single numpy passes (:mod:`repro.sim.batched`); "per-config" runs
-    #: every grid point through its own sweep.  Bit-identical results
-    #: either way (pinned by the grid-equivalence golden suite), so the
-    #: knob is execution-only and cache-exempt.
-    engine: str = "batched"  # reprolint: cache-exempt - execution knob, results bit-identical
 
     def __post_init__(self) -> None:
         """Fail fast on knobs that would silently mis-shard work.
@@ -73,6 +65,17 @@ class ExperimentConfig:
         Programmatic construction gets exactly the messages the CLI
         prints, so a bad ``jobs=0`` fails identically from both entries.
         """
+        if self.trace_length < 1:
+            raise ValueError("--length must be >= 1")
+        known = benchmark_names() + spec_benchmark_names()
+        for name in self.benchmarks:
+            if name not in known:
+                raise ValueError(
+                    f"unknown benchmark {name!r}; expected one of "
+                    f"{', '.join(known)}"
+                )
+        if len(set(self.benchmarks)) != len(self.benchmarks):
+            raise ValueError("--benchmarks must not repeat a benchmark")
         if self.jobs < 1:
             raise ValueError("--jobs must be >= 1")
         if self.chunk_size is not None and self.chunk_size < 1:
@@ -81,10 +84,6 @@ class ExperimentConfig:
             raise ValueError("--max-retries must be >= 0")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError("--task-timeout must be > 0")
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"--engine must be one of {', '.join(ENGINES)}"
-            )
 
     def scaled(self, **overrides) -> "ExperimentConfig":
         """A copy with the given fields replaced."""

@@ -2,7 +2,7 @@
 
 Predictor sweeps are memoized per (benchmark, predictor geometry), and
 every confidence-table statistics request — a figure's whole grid or a
-single ``*_statistics`` helper call — is one :class:`SweepRequest`
+single ``*_statistics`` helper call — is one :func:`sweep_grid` call
 answered from the content-keyed sweep tier (stream key + grid digest).
 The helpers return *per-benchmark* statistics dictionaries; experiments
 combine them with the paper's equal-branch-count weighting.
@@ -10,8 +10,7 @@ combine them with the paper's equal-branch-count weighting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -19,15 +18,7 @@ from repro import observability
 from repro.analysis.buckets import BucketStatistics
 from repro.core.indexing import IndexFunction, make_index
 from repro.experiments.config import ExperimentConfig
-from repro.sim.batched import (
-    PATTERN,
-    RESETTING,
-    SATURATING,
-    TWO_LEVEL,
-    GridObserver,
-    SweepSpec,
-    grid_digest,
-)
+from repro.sim.batched import GridObserver, SweepSpec, grid_digest
 from repro.sim.cache import (
     cached_predictor_streams,
     has_disk_entry,
@@ -38,20 +29,8 @@ from repro.sim.cache import (
     store_sweep_results,
     sweep_result_key,
 )
-from repro.sim.chunked import (
-    CIRTableObserver,
-    ResettingCounterObserver,
-    SaturatingCounterObserver,
-    StreamChunk,
-    TwoLevelObserver,
-)
-from repro.sim.fast import (
-    PredictorStreams,
-    cir_pattern_stream,
-    resetting_counter_stream,
-    saturating_counter_stream,
-    two_level_pattern_stream,
-)
+from repro.sim.chunked import StreamChunk
+from repro.sim.fast import PredictorStreams
 from repro.testing import faults
 from repro.utils.bits import bit_mask
 from repro.utils.resilient import resilient_map, serial_task
@@ -177,41 +156,6 @@ def suite_stream_chunks(config: ExperimentConfig, benchmark: str):
     return iter_cached_stream_chunks(
         chunk_size=config.chunk_size, **_stream_request(config, benchmark)
     )
-
-
-def _fold_chunk_statistics(
-    config: ExperimentConfig,
-    benchmark: str,
-    num_buckets: int,
-    observe: "Callable[[StreamChunk], np.ndarray]",
-) -> BucketStatistics:
-    """Fold one benchmark's chunks into summed bucket statistics."""
-    total = BucketStatistics.zeros(num_buckets)
-    for chunk in suite_stream_chunks(config, benchmark):
-        total = total + BucketStatistics.from_streams(
-            observe(chunk), chunk.correct, num_buckets=num_buckets
-        )
-    return total
-
-
-def _chunk_indices(
-    index_function: IndexFunction, chunk: StreamChunk
-) -> np.ndarray:
-    """Confidence-table indices of one chunk's accesses."""
-    if index_function.uses_gcir:
-        gcirs = chunk.gcirs
-    else:
-        gcirs = np.zeros(chunk.num_branches, dtype=np.int64)
-    return index_function.vectorized(chunk.pcs, chunk.bhrs, gcirs)
-
-
-def _maybe_gcirs(
-    index_function: IndexFunction, streams: PredictorStreams
-) -> np.ndarray:
-    """Global-CIR stream, computed only when the index actually uses it."""
-    if index_function.uses_gcir:
-        return streams.gcirs
-    return np.zeros(streams.num_branches, dtype=np.int64)
 
 
 def suite_misprediction_rate(config: ExperimentConfig) -> float:
@@ -340,153 +284,6 @@ def static_branch_statistics(
     return statistics
 
 
-def per_benchmark_map(
-    config: ExperimentConfig,
-    build: Callable[[str, PredictorStreams], BucketStatistics],
-) -> Dict[str, BucketStatistics]:
-    """Apply an arbitrary per-benchmark statistics builder over the suite."""
-    return {
-        name: build(name, streams)
-        for name, streams in suite_streams(config).items()
-    }
-
-
-@dataclass(frozen=True)
-class SweepRequest:
-    """A whole experiment grid submitted as one unit.
-
-    ``specs`` lists the grid points in result order; ``config`` supplies
-    the suite, the predictor geometry, and the execution knobs (engine,
-    jobs, chunk size).  :func:`run_sweep` returns one per-benchmark
-    statistics dict per spec, bit-identical for either engine.
-    """
-
-    config: ExperimentConfig
-    specs: Tuple[SweepSpec, ...]
-
-
-def sweep_grid(
-    config: ExperimentConfig, specs: Sequence[SweepSpec]
-) -> List[Dict[str, BucketStatistics]]:
-    """Evaluate a grid of confidence-table specs over the config's suite."""
-    return run_sweep(SweepRequest(config=config, specs=tuple(specs)))
-
-
-def run_sweep(request: SweepRequest) -> List[Dict[str, BucketStatistics]]:
-    """Dispatch one :class:`SweepRequest` to the configured engine.
-
-    The batched engine serves every grid, singletons included, from the
-    content-keyed sweep tier; ``engine="per-config"`` evaluates each spec
-    with its own per-config kernel (the golden oracle of the batched one).
-    """
-    config = request.config
-    specs = request.specs
-    if not specs:
-        return []
-    if config.engine == "per-config":
-        return [_per_config_spec_statistics(config, spec) for spec in specs]
-    return _batched_grid_statistics(config, specs)
-
-
-def _per_config_spec_statistics(
-    config: ExperimentConfig, spec: SweepSpec
-) -> Dict[str, BucketStatistics]:
-    """One grid point through its per-config kernel, uncached.
-
-    Monolithic runs read the full suite streams; chunked runs fold the
-    matching :mod:`repro.sim.chunked` observer over the stream chunks.
-    """
-    index_function = spec.index_function
-    num_buckets = spec.num_buckets
-    if config.chunk_size is not None:
-        return {
-            name: _fold_chunk_statistics(
-                config, name, num_buckets, _chunk_observe(spec)
-            )
-            for name in config.benchmarks
-        }
-    statistics: Dict[str, BucketStatistics] = {}
-    for name, streams in suite_streams(config).items():
-        if spec.kind == TWO_LEVEL:
-            # The level-1 index always sees a zero global-CIR stream.
-            gcirs = np.zeros(streams.num_branches, dtype=np.int64)
-        else:
-            gcirs = _maybe_gcirs(index_function, streams)
-        indices = index_function.vectorized(streams.pcs, streams.bhrs, gcirs)
-        if spec.kind == PATTERN:
-            buckets = cir_pattern_stream(
-                indices, streams.correct, spec.width, spec.init
-            )
-        elif spec.kind == RESETTING:
-            buckets = resetting_counter_stream(
-                indices, streams.correct, maximum=spec.width
-            )
-        elif spec.kind == SATURATING:
-            buckets = saturating_counter_stream(
-                indices,
-                streams.correct,
-                maximum=spec.width,
-                table_entries=index_function.table_entries,
-            )
-        else:
-            init = bit_mask(spec.width)
-            buckets = two_level_pattern_stream(
-                indices,
-                streams.correct,
-                streams.pcs,
-                streams.bhrs,
-                level1_cir_bits=spec.width,
-                level2_cir_bits=spec.width,
-                second_use_pc=spec.second_use_pc,
-                second_use_bhr=spec.second_use_bhr,
-                level1_init=init,
-                level2_init=init,
-            )
-        statistics[name] = BucketStatistics.from_streams(
-            buckets, streams.correct, num_buckets=num_buckets
-        )
-    return statistics
-
-
-def _chunk_observe(spec: SweepSpec) -> "Callable[[StreamChunk], np.ndarray]":
-    """A fresh per-config chunk observer for ``spec``: chunk -> buckets."""
-    index_function = spec.index_function
-    entries = index_function.table_entries
-    if spec.kind == TWO_LEVEL:
-        init = bit_mask(spec.width)
-        two_level = TwoLevelObserver(
-            level1_cir_bits=spec.width,
-            level2_cir_bits=spec.width,
-            table_entries=entries,
-            second_use_pc=spec.second_use_pc,
-            second_use_bhr=spec.second_use_bhr,
-            level1_init=init,
-            level2_init=init,
-        )
-        # The level-1 index always sees a zero global-CIR stream, as in
-        # the monolithic path.
-        return lambda chunk: two_level.observe(
-            index_function.vectorized(
-                chunk.pcs,
-                chunk.bhrs,
-                np.zeros(chunk.num_branches, dtype=np.int64),
-            ),
-            chunk.correct,
-            chunk.pcs,
-            chunk.bhrs,
-        )
-    observer: "CIRTableObserver | ResettingCounterObserver | SaturatingCounterObserver"
-    if spec.kind == PATTERN:
-        observer = CIRTableObserver(spec.width, entries, spec.init)
-    elif spec.kind == RESETTING:
-        observer = ResettingCounterObserver(spec.width, entries)
-    else:
-        observer = SaturatingCounterObserver(spec.width, entries)
-    return lambda chunk: observer.observe(
-        _chunk_indices(index_function, chunk), chunk.correct
-    )
-
-
 def _monolithic_chunk(streams: PredictorStreams, needs_gcir: bool) -> StreamChunk:
     """Wrap full predictor streams as one chunk for the grid observer."""
     if needs_gcir:
@@ -503,17 +300,22 @@ def _monolithic_chunk(streams: PredictorStreams, needs_gcir: bool) -> StreamChun
     )
 
 
-def _batched_grid_statistics(
-    config: ExperimentConfig, specs: Tuple[SweepSpec, ...]
+def sweep_grid(
+    config: ExperimentConfig, specs: Sequence[SweepSpec]
 ) -> List[Dict[str, BucketStatistics]]:
-    """The batched engine: one fused pass per benchmark for a whole grid.
+    """Evaluate a grid of confidence-table specs over the config's suite.
 
-    Results are content-keyed per (stream request, grid digest) in the
-    sweep tier of the cache, so repeat figure runs skip both the sweep
-    and the fold.  Missing benchmarks warm the stream tiers through
-    :func:`suite_streams` first (pool-accelerated when ``jobs > 1``),
-    then fold serially — the fold is cheap next to the sweep.
+    One fused :class:`~repro.sim.batched.GridObserver` pass per benchmark
+    covers the whole grid (a single spec is a grid of one).  Results are
+    content-keyed per (stream request, grid digest) in the sweep tier of
+    the cache, so repeat figure runs skip both the sweep and the fold.
+    Missing benchmarks warm the stream tiers through :func:`suite_streams`
+    first (pool-accelerated when ``jobs > 1``), then fold serially — the
+    fold is cheap next to the sweep.
     """
+    if not specs:
+        return []
+    specs = tuple(specs)
     grid = grid_digest(specs)
     per_spec: List[Dict[str, BucketStatistics]] = [{} for _ in specs]
     keys = {}

@@ -222,13 +222,13 @@ def plan_digest(
     """Content digest naming the fabric directory of one plan.
 
     Execution-only knobs that cannot change any artifact byte (jobs,
-    retry budget, timeouts, engine) are excluded, so a 3-worker fleet
+    retry budget, timeouts) are excluded, so a 3-worker fleet
     and a later ``--shards 1`` resume land in the same directory; every
     result-relevant field (suite, lengths, seeds, geometry, chunk size)
     is included, so nothing can alias.
     """
     payload = dataclasses.asdict(config)
-    for execution_knob in ("jobs", "max_retries", "task_timeout", "engine"):
+    for execution_knob in ("jobs", "max_retries", "task_timeout"):
         payload.pop(execution_knob, None)
     payload["experiment_ids"] = list(experiment_ids)
     payload["format"] = FABRIC_PLAN_FORMAT

@@ -1,15 +1,20 @@
-"""Trace-driven simulation engines.
-
-Two engines compute identical statistics:
+"""Trace-driven simulation.
 
 * :mod:`repro.sim.engine` — the reference implementation: plain objects,
-  one Python loop, semantics that read directly off the paper.  Used by
-  the unit tests as ground truth and for small runs.
-* :mod:`repro.sim.fast` — the production path for full experiments: the
-  predictor sweep is a tight loop producing correctness/BHR streams
-  (memoized per benchmark+predictor), and CIR pattern histories are
-  reconstructed with vectorized grouped scans.  Property tests assert
-  exact equivalence with the reference engine.
+  one Python loop, semantics that read directly off the paper.  The
+  oracle of every other path.
+* :mod:`repro.sim.chunked` / :func:`repro.sim.fast.predictor_streams` —
+  the gshare sweep producing correctness/BHR streams (memoized per
+  benchmark+predictor, whole-trace or chunk by chunk).
+* :mod:`repro.sim.kernels` — the grouped-scan kernels, each defined once:
+  group ranks, lagged-shift CIR history, the clamp-affine scan, the
+  resetting count.
+* :mod:`repro.sim.batched` — :class:`~repro.sim.batched.GridObserver`,
+  the one production kernel of every confidence-table statistic.
+* :mod:`repro.sim.fast` — per-access CIR/counter streams as single-stream
+  views of the same grouping (for the application models, the
+  context-switch ablation, and as the grid kernel's golden reference).
+  Property tests assert exact equivalence with the reference engine.
 """
 
 from repro.sim.cache import cached_predictor_streams, clear_stream_cache

@@ -2,10 +2,9 @@
 
 Every figure in the paper evaluates a *grid* of confidence-table
 configurations — several index functions, register widths, and reduction
-functions — over the same predictor streams.  The per-config path
-(:mod:`repro.sim.fast` driven one configuration at a time) re-sorts and
-re-reconstructs the stream once per grid point.  This module fuses the
-whole grid into single numpy passes with a leading config axis:
+functions — over the same predictor streams.  This module fuses the
+whole grid into single numpy passes with a leading config axis, over the
+grouped-scan kernels of :mod:`repro.sim.kernels`:
 
 * **One flattened grouping for all configurations.**  Each distinct index
   stream is offset into its own disjoint entry range and the
@@ -29,17 +28,19 @@ whole grid into single numpy passes with a leading config axis:
   scatter back to time order is needed except for the two-level cascade.
 
 :class:`GridObserver` carries all per-entry state across chunk
-boundaries, so the batched engine composes with the chunked streaming
-pipeline exactly like the per-config observers in
-:mod:`repro.sim.chunked`.  Bit-identical equivalence against the
-per-config path is pinned by the grid-equivalence golden suite.
+boundaries, so it composes with the chunked streaming pipeline of
+:mod:`repro.sim.chunked`; a monolithic run is one chunk.  It is the
+production kernel of every confidence-table statistic; the grid golden
+suite pins it bit-identical to the single-stream reference kernels of
+:mod:`repro.sim.fast`, which are themselves pinned to
+:mod:`repro.sim.engine`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -47,10 +48,16 @@ import numpy as np
 from repro.analysis.buckets import BucketStatistics
 from repro.core.indexing import IndexFunction, PC_ALIGNMENT_BITS
 from repro.sim.chunked import StreamChunk
+from repro.sim.kernels import (
+    FlatGroups,
+    flatten_and_group,
+    resetting_counts,
+    stacked_clamped_walk,
+)
 from repro.utils.bits import bit_mask
 from repro.utils.validation import check_in_range, check_positive
 
-#: Spec kinds, mirroring the per-config statistics helpers.
+#: Spec kinds, mirroring the runner's ``*_statistics`` helpers.
 PATTERN = "pattern"
 RESETTING = "resetting"
 SATURATING = "saturating"
@@ -62,10 +69,6 @@ SPEC_KINDS = (PATTERN, RESETTING, SATURATING, TWO_LEVEL)
 #: history reconstruction; saturating counters do not need one).
 _REGISTER_KINDS = (PATTERN, RESETTING, TWO_LEVEL)
 
-#: Sentinel clamp bounds representing "no clamp yet" (identity function);
-#: matches :mod:`repro.sim.chunked`.
-_NO_CLAMP = 1 << 40
-
 InitPatterns = Union[int, np.ndarray]
 
 
@@ -76,8 +79,7 @@ class SweepSpec:
     ``width`` is the CIR width for ``pattern``/``two_level`` specs and
     the counter maximum for ``resetting``/``saturating`` specs.  ``init``
     is the initial CIR pattern (scalar or per-entry array) of ``pattern``
-    specs; counters always start at 0 and two-level tables at all-ones,
-    matching the per-config helpers.
+    specs; counters always start at 0 and two-level tables at all-ones.
     """
 
     kind: str
@@ -104,7 +106,7 @@ class SweepSpec:
                     f"got shape {self.init.shape}"
                 )
 
-    # ----- constructors matching the per-config helpers ---------------------
+    # ----- constructors ------------------------------------------------------
 
     @classmethod
     def pattern(
@@ -158,8 +160,8 @@ class SweepSpec:
     def feeds_gcir(self) -> bool:
         """True when the level-1 index actually consumes the GCIR stream.
 
-        The per-config two-level path always feeds the level-1 index a
-        zero global-CIR stream; the batched engine matches it exactly.
+        A two-level spec's level-1 index always reads a zero global-CIR
+        stream.
         """
         return self.index_function.uses_gcir and self.kind != TWO_LEVEL
 
@@ -194,199 +196,6 @@ def grid_digest(specs: Sequence[SweepSpec]) -> str:
 
 
 # --------------------------------------------------------------------------
-# Flattened grouping: one stable sort shared by every grid point
-# --------------------------------------------------------------------------
-
-
-def _group_ranks(sorted_indices: np.ndarray) -> np.ndarray:
-    """Rank of each sorted position within its (contiguous) index group."""
-    n = sorted_indices.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    is_start = np.concatenate(([True], sorted_indices[1:] != sorted_indices[:-1]))
-    group_starts = np.flatnonzero(is_start)
-    group_sizes = np.diff(np.concatenate((group_starts, [n])))
-    start_of_position = np.repeat(group_starts, group_sizes)
-    return np.arange(n, dtype=np.int64) - start_of_position
-
-
-@dataclass
-class _FlatGroups:
-    """Sorted flattened layout of several index streams over one chunk.
-
-    Stream ``u`` of ``n`` accesses occupies flat positions
-    ``[u*n, (u+1)*n)`` before sorting; after the stable argsort its
-    accesses occupy the *sorted* slice ``[u*n, (u+1)*n)`` as well,
-    because the per-stream entry offsets are disjoint and cumulative.
-    Within that slice, time order and group ranks are exactly those of a
-    per-stream sort.
-    """
-
-    n: int
-    offsets: np.ndarray
-    order: np.ndarray
-    sorted_flat: np.ndarray
-    ranks: np.ndarray
-    is_last: np.ndarray
-    incorrect_sorted: np.ndarray
-    history: np.ndarray
-    history_width: int
-
-    def segment(self, stream: int) -> slice:
-        """Sorted-domain slice holding stream ``stream``'s accesses."""
-        return slice(stream * self.n, (stream + 1) * self.n)
-
-    def pattern_segment(
-        self, stream: int, width: int, table: np.ndarray
-    ) -> np.ndarray:
-        """Pre-update ``width``-bit patterns of one stream, sorted order.
-
-        Reads the shared history through ``bit_mask(width)`` and applies
-        the per-entry initial patterns carried in ``table``; ``table`` is
-        advanced in place to the post-chunk state (the last access of
-        each entry publishes its post-update pattern).
-        """
-        check_in_range(width, 1, self.history_width, "width")
-        sl = self.segment(stream)
-        entries = self.sorted_flat[sl] - self.offsets[stream]
-        ranks = self.ranks[sl]
-        incorrect = self.incorrect_sorted[sl]
-        mask = np.int64(bit_mask(width))
-        init_sorted = table[entries]
-        patterns = ((init_sorted << np.minimum(ranks, width)) & mask) | (
-            self.history[sl] & mask
-        )
-        post = ((patterns << np.int64(1)) | incorrect) & mask
-        last = self.is_last[sl]
-        table[entries[last]] = post[last]
-        return patterns
-
-    def time_positions(self, stream: int) -> np.ndarray:
-        """Original time index of each sorted position of one stream."""
-        return self.order[self.segment(stream)] - np.int64(stream * self.n)
-
-
-def _flatten_and_group(
-    index_streams: Sequence[np.ndarray],
-    entry_counts: Sequence[int],
-    incorrect: np.ndarray,
-    history_width: int,
-) -> _FlatGroups:
-    """One stable argsort + shared history over several index streams.
-
-    ``history_width`` is the widest shift register any consumer needs
-    (0 skips the reconstruction entirely, e.g. a saturating-only grid).
-    """
-    n = int(incorrect.shape[0])
-    streams = len(index_streams)
-    offsets = np.zeros(streams, dtype=np.int64)
-    if streams > 1:
-        offsets[1:] = np.cumsum(
-            np.asarray(entry_counts[:-1], dtype=np.int64)
-        )
-    flat = np.empty(streams * n, dtype=np.int64)
-    for u, indices in enumerate(index_streams):
-        flat[u * n : (u + 1) * n] = indices + offsets[u]
-    order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    ranks = _group_ranks(sorted_flat)
-    total = sorted_flat.shape[0]
-    is_last = np.empty(total, dtype=bool)
-    if total:
-        is_last[:-1] = sorted_flat[1:] != sorted_flat[:-1]
-        is_last[-1] = True
-    incorrect_tiled = np.tile(np.asarray(incorrect, dtype=np.int64), streams)
-    incorrect_sorted = incorrect_tiled[order]
-    history = np.zeros(total, dtype=np.int64)
-    for j in range(history_width):
-        lagged = np.zeros(total, dtype=np.int64)
-        if total > j + 1:
-            lagged[j + 1 :] = incorrect_sorted[: total - j - 1]
-        history |= np.where(ranks > j, lagged << j, 0)
-    return _FlatGroups(
-        n=n,
-        offsets=offsets,
-        order=order,
-        sorted_flat=sorted_flat,
-        ranks=ranks,
-        is_last=is_last,
-        incorrect_sorted=incorrect_sorted,
-        history=history,
-        history_width=history_width,
-    )
-
-
-def _stacked_clamped_walk(
-    ranks: np.ndarray,
-    deltas: np.ndarray,
-    lo: int,
-    upper_bounds: np.ndarray,
-    init_sorted: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Segmented clamped walk over stacked configurations, sorted domain.
-
-    The 2-D (config, time) generalization of
-    :func:`repro.sim.chunked.segmented_clamped_walk`: inputs are the
-    concatenation of several already-grouped sorted segments, and the
-    clamp upper bound is per-position (each configuration contributes its
-    own counter maximum).  The clamp-affine composition is element-wise,
-    so the identical Hillis-Steele recurrence applies; windows never leak
-    across groups because rank-0 positions seed the identity and the
-    ``ranks >= offset`` guard masks every cross-group gather.
-
-    Returns ``(pre, post)`` in the same stacked sorted order: the value
-    each access read, and the value it wrote.
-    """
-    total = ranks.shape[0]
-    if total == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    shift = np.where(
-        ranks > 0,
-        np.concatenate((np.zeros(1, dtype=np.int64), deltas[:-1])),
-        0,
-    )
-    lower = np.where(ranks > 0, np.int64(lo), -_NO_CLAMP)
-    upper = np.where(ranks > 0, upper_bounds, _NO_CLAMP)
-
-    max_rank = int(ranks.max())
-    offset = 1
-    while offset <= max_rank:
-        in_group = ranks >= offset
-        earlier_shift = np.empty_like(shift)
-        earlier_lower = np.empty_like(lower)
-        earlier_upper = np.empty_like(upper)
-        earlier_shift[offset:] = shift[:-offset]
-        earlier_lower[offset:] = lower[:-offset]
-        earlier_upper[offset:] = upper[:-offset]
-        earlier_shift[:offset] = 0
-        earlier_lower[:offset] = -_NO_CLAMP
-        earlier_upper[:offset] = _NO_CLAMP
-        # Compose (this ∘ earlier): the earlier window applies first.
-        composed_shift = earlier_shift + shift
-        composed_lower = np.maximum(lower, earlier_lower + shift)
-        composed_upper = np.minimum(upper, np.maximum(lower, earlier_upper + shift))
-        shift = np.where(in_group, composed_shift, shift)
-        lower = np.where(in_group, composed_lower, lower)
-        upper = np.where(in_group, composed_upper, upper)
-        offset <<= 1
-
-    pre = np.minimum(upper, np.maximum(lower, init_sorted + shift))
-    post = np.minimum(upper_bounds, np.maximum(np.int64(lo), pre + deltas))
-    return pre, post
-
-
-def _resetting_counts(patterns: np.ndarray, maximum: int) -> np.ndarray:
-    """Resetting-counter values of CIR patterns (lowest-set-bit index)."""
-    lowest = patterns & -patterns
-    return np.where(
-        patterns == 0,
-        maximum,
-        np.log2(np.maximum(lowest, 1)).astype(np.int64),
-    ).astype(np.int64)
-
-
-# --------------------------------------------------------------------------
 # The grid observer: whole-grid sweep with state carried across chunks
 # --------------------------------------------------------------------------
 
@@ -405,10 +214,9 @@ class GridObserver:
 
     Feed :class:`~repro.sim.chunked.StreamChunk` objects through
     :meth:`observe`; every grid point's table state carries across chunk
-    boundaries, so the accumulated :meth:`statistics` are bit-identical
-    to running each spec through its per-config observer — and, by the
-    existing chunk-equivalence guarantees, to the monolithic per-config
-    path.
+    boundaries, so the accumulated :meth:`statistics` are identical for
+    any chunking and bit-identical to each spec's single-stream
+    reference kernel over the whole stream.
     """
 
     def __init__(self, specs: Sequence[SweepSpec]) -> None:
@@ -480,8 +288,8 @@ class GridObserver:
         """Fold one chunk's sorted-domain bucket stream into spec ``position``.
 
         ``np.bincount`` over 0/1 float64 weights sums exact integers, so
-        accumulating in sorted order is bit-identical to the time-order
-        fold of the per-config path.
+        accumulating in sorted order is bit-identical to a time-order
+        fold.
         """
         buckets = self.specs[position].num_buckets
         counts = np.bincount(values, minlength=buckets).astype(np.float64)
@@ -512,7 +320,7 @@ class GridObserver:
                 index_function.vectorized(chunk.pcs, chunk.bhrs, gcirs)
             )
             entry_counts.append(index_function.table_entries)
-        grouped = _flatten_and_group(
+        grouped = flatten_and_group(
             index_streams, entry_counts, incorrect, self._history_width
         )
 
@@ -531,7 +339,7 @@ class GridObserver:
                 patterns = grouped.pattern_segment(stream, spec.width, state.table)
                 self._accumulate(
                     position,
-                    _resetting_counts(patterns, spec.width),
+                    resetting_counts(patterns, spec.width),
                     grouped.incorrect_sorted[grouped.segment(stream)],
                 )
             elif spec.kind == TWO_LEVEL:
@@ -551,7 +359,7 @@ class GridObserver:
     def _level2_indices(
         self,
         spec: SweepSpec,
-        grouped: _FlatGroups,
+        grouped: FlatGroups,
         stream: int,
         patterns: np.ndarray,
         chunk: StreamChunk,
@@ -566,7 +374,7 @@ class GridObserver:
         return cir1 & np.int64(bit_mask(spec.width))
 
     def _observe_saturating(
-        self, positions: List[int], grouped: _FlatGroups
+        self, positions: List[int], grouped: FlatGroups
     ) -> None:
         """One stacked clamp-affine scan over every saturating grid point."""
         parts_ranks: List[np.ndarray] = []
@@ -587,7 +395,7 @@ class GridObserver:
             )
             parts_init.append(self._states[position].table[entries])
             entries_parts.append(entries)
-        pre, post = _stacked_clamped_walk(
+        pre, post = stacked_clamped_walk(
             np.concatenate(parts_ranks),
             np.concatenate(parts_deltas),
             0,
@@ -613,7 +421,7 @@ class GridObserver:
         incorrect: np.ndarray,
     ) -> None:
         """Second grouped round: the level-2 tables of two-level specs."""
-        grouped = _flatten_and_group(
+        grouped = flatten_and_group(
             streams,
             [1 << self.specs[position].width for position in positions],
             incorrect,

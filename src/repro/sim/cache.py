@@ -72,12 +72,11 @@ _sweep_memory_bytes = 0
 
 def _load_any_benchmark(name: str, length: int, seed: int) -> Trace:
     """Resolve a benchmark from the IBS suite or the SPEC-like suite."""
-    try:
-        return load_benchmark(name, length, seed)
-    except ValueError:
-        from repro.workloads.spec_like import load_spec_benchmark
+    from repro.workloads.spec_like import load_spec_benchmark, spec_benchmark_names
 
+    if name in spec_benchmark_names():
         return load_spec_benchmark(name, length, seed)
+    return load_benchmark(name, length, seed)
 
 
 def stream_key(

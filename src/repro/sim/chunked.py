@@ -20,33 +20,24 @@ The chunk kernel is also where the last sequential Python loops die:
   register shifts in the *resolved outcome*, so it never depends on the
   predictions), which makes the per-branch table index fully
   vectorizable.  The 2-bit counters are then a table of clamped ±1
-  walks, evaluated by :func:`segmented_clamped_walk`.
-* **Saturating counters ride the same kernel** — they are the identical
-  clamped-walk recurrence with a wider clamp range.
+  walks, evaluated by the clamp-affine scan of :mod:`repro.sim.kernels`.
 
-:func:`segmented_clamped_walk` itself exploits that the per-step update
-``x -> min(hi, max(lo, x + d))`` is a *clamp-affine* function
-``x -> min(U, max(L, x + s))``, and that clamp-affine functions are
-closed under composition::
-
-    (later ∘ earlier): s = s1 + s2
-                       L = max(l2, l1 + s2)
-                       U = min(u2, max(l2, u1 + s2))
-
-so the per-entry prefix compositions reduce to a segmented
-Hillis-Steele scan — ``O(n log n)`` vectorized work instead of a
-sequential Python loop.
+Confidence tables consume the chunks through
+:class:`repro.sim.batched.GridObserver`, which carries every table's
+state across chunk boundaries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro import observability
+from repro.core.indexing import PC_ALIGNMENT_BITS
+from repro.sim.kernels import lagged_shifts, segmented_clamped_walk
 from repro.traces.trace import Trace
 from repro.utils.bits import bit_mask
 from repro.utils.validation import check_in_range, check_positive
@@ -58,10 +49,6 @@ DEFAULT_CHUNK_SIZE = 65_536
 
 #: 2-bit counter initial value matching the paper ("weakly taken").
 _WEAKLY_TAKEN = 2
-_PC_ALIGNMENT_BITS = 2
-
-#: Sentinel clamp bounds representing "no clamp yet" (identity function).
-_NO_CLAMP = 1 << 40
 
 #: Widest shift register the int64 lagged-shift kernels support.
 MAX_REGISTER_BITS = 62
@@ -86,104 +73,6 @@ def iter_trace_chunks(trace: Trace, chunk_size: Optional[int]) -> Iterator[Trace
 
 
 # --------------------------------------------------------------------------
-# The segmented clamped-walk scan (shared by gshare and saturating counters)
-# --------------------------------------------------------------------------
-
-
-def _group_ranks(sorted_indices: np.ndarray) -> np.ndarray:
-    """Rank of each sorted position within its (contiguous) index group."""
-    n = sorted_indices.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    is_start = np.concatenate(([True], sorted_indices[1:] != sorted_indices[:-1]))
-    group_starts = np.flatnonzero(is_start)
-    group_sizes = np.diff(np.concatenate((group_starts, [n])))
-    start_of_position = np.repeat(group_starts, group_sizes)
-    return np.arange(n, dtype=np.int64) - start_of_position
-
-
-def segmented_clamped_walk(
-    indices: np.ndarray,
-    deltas: np.ndarray,
-    lo: int,
-    hi: int,
-    init_values: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized table of clamped walks ``x -> min(hi, max(lo, x + d))``.
-
-    Parameters
-    ----------
-    indices:
-        Table entry accessed by each position.
-    deltas:
-        Per-position step (any integers, typically ±1).
-    lo, hi:
-        Clamp bounds of every entry.
-    init_values:
-        Per-entry starting values (one per table entry).
-
-    Returns
-    -------
-    ``(pre_values, final_values)``: the value each access *read* (before
-    its own update), and a fresh copy of the table after all updates —
-    the carry for the next chunk.
-    """
-    indices = np.asarray(indices, dtype=np.int64)
-    deltas = np.asarray(deltas, dtype=np.int64)
-    if indices.shape != deltas.shape:
-        raise ValueError("indices and deltas must have equal length")
-    n = indices.shape[0]
-    finals = np.asarray(init_values, dtype=np.int64).copy()
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), finals
-
-    order = np.argsort(indices, kind="stable")
-    sorted_indices = indices[order]
-    sorted_deltas = deltas[order]
-    ranks = _group_ranks(sorted_indices)
-
-    # Exclusive prefix composition per group: position of rank r carries
-    # the composition of the steps of ranks 0..r-1.  Seed each position
-    # with its *predecessor's* step (rank 0 gets the identity), then run
-    # an inclusive segmented scan.
-    shift = np.where(ranks > 0, np.concatenate(([0], sorted_deltas[:-1])), 0)
-    lower = np.where(ranks > 0, lo, -_NO_CLAMP)
-    upper = np.where(ranks > 0, hi, _NO_CLAMP)
-
-    max_rank = int(ranks.max())
-    offset = 1
-    while offset <= max_rank:
-        in_group = ranks >= offset
-        earlier_shift = np.empty_like(shift)
-        earlier_lower = np.empty_like(lower)
-        earlier_upper = np.empty_like(upper)
-        earlier_shift[offset:] = shift[:-offset]
-        earlier_lower[offset:] = lower[:-offset]
-        earlier_upper[offset:] = upper[:-offset]
-        earlier_shift[:offset] = 0
-        earlier_lower[:offset] = -_NO_CLAMP
-        earlier_upper[:offset] = _NO_CLAMP
-        # Compose (this ∘ earlier): the earlier window applies first.
-        composed_shift = earlier_shift + shift
-        composed_lower = np.maximum(lower, earlier_lower + shift)
-        composed_upper = np.minimum(upper, np.maximum(lower, earlier_upper + shift))
-        shift = np.where(in_group, composed_shift, shift)
-        lower = np.where(in_group, composed_lower, lower)
-        upper = np.where(in_group, composed_upper, upper)
-        offset <<= 1
-
-    init_sorted = finals[sorted_indices]
-    pre_sorted = np.minimum(upper, np.maximum(lower, init_sorted + shift))
-    pre_values = np.empty(n, dtype=np.int64)
-    pre_values[order] = pre_sorted
-
-    post_sorted = np.minimum(hi, np.maximum(lo, pre_sorted + sorted_deltas))
-    # Later positions overwrite earlier ones, so the last access wins.
-    finals[sorted_indices] = post_sorted
-    return pre_values, finals
-
-
-# --------------------------------------------------------------------------
 # Shift-register streams with carry (BHR / global CIR across chunks)
 # --------------------------------------------------------------------------
 
@@ -198,13 +87,10 @@ def lagged_register_stream(bits: np.ndarray, carry: int, width: int) -> np.ndarr
     check_in_range(width, 0, MAX_REGISTER_BITS, "width")
     bits = np.asarray(bits, dtype=np.int64)
     m = bits.shape[0]
-    values = np.zeros(m, dtype=np.int64)
     if width == 0 or m == 0:
-        return values
+        return np.zeros(m, dtype=np.int64)
+    values = lagged_shifts(bits, width)
     mask = bit_mask(width)
-    for j in range(width):
-        if m > j + 1:
-            values[j + 1:] |= bits[: m - j - 1] << j
     carry = int(carry) & mask
     for t in range(min(m, width)):
         values[t] = int(values[t]) | ((carry << t) & mask)
@@ -312,7 +198,7 @@ def sweep_chunk(
 
     bhr_values = lagged_register_stream(outcomes_arr, state.bhr, state_bits)
     indices = (
-        (pcs_arr >> _PC_ALIGNMENT_BITS) ^ (bhr_values & history_mask)
+        (pcs_arr >> PC_ALIGNMENT_BITS) ^ (bhr_values & history_mask)
     ) & index_mask
     deltas = np.where(outcomes_arr == 1, 1, -1)
     counters, state.table = segmented_clamped_walk(
@@ -418,120 +304,3 @@ def num_chunks(total: int, chunk_size: Optional[int]) -> int:
     """How many chunks a ``total``-branch stream splits into."""
     step = resolve_chunk_size(chunk_size, total)
     return max(1, math.ceil(total / step)) if total else 1
-
-
-# --------------------------------------------------------------------------
-# Chunk observers: confidence-table state carried across chunk boundaries
-# --------------------------------------------------------------------------
-
-
-class CIRTableObserver:
-    """A one-level CIR table consumed chunk by chunk.
-
-    Carries the per-entry CIR patterns across chunk boundaries (exactly
-    the ``keep`` flush policy, which is a semantic no-op), so the
-    concatenated per-chunk pattern streams are bit-identical to the
-    monolithic :func:`repro.sim.fast.cir_pattern_stream`.
-    """
-
-    def __init__(self, cir_bits: int, table_entries: int, init_patterns) -> None:
-        check_in_range(cir_bits, 1, 30, "cir_bits")
-        check_positive(table_entries, "table_entries")
-        self.cir_bits = cir_bits
-        self.table_entries = table_entries
-        if isinstance(init_patterns, np.ndarray):
-            patterns = init_patterns.astype(np.int64).copy()
-            if patterns.shape != (table_entries,):
-                raise ValueError(
-                    f"init_patterns must cover {table_entries} entries, "
-                    f"got shape {patterns.shape}"
-                )
-        else:
-            patterns = np.full(table_entries, int(init_patterns), dtype=np.int64)
-        self.patterns = patterns
-
-    def observe(self, indices: np.ndarray, correct: np.ndarray) -> np.ndarray:
-        """Patterns read by this chunk's accesses; advances the table."""
-        from repro.sim.fast import cir_pattern_stream, final_cir_patterns
-
-        read = cir_pattern_stream(indices, correct, self.cir_bits, self.patterns)
-        self.patterns = final_cir_patterns(
-            indices, correct, self.cir_bits, self.patterns, self.table_entries
-        )
-        return read
-
-
-class ResettingCounterObserver:
-    """Chunked resetting counters (via the CIR equivalence)."""
-
-    def __init__(self, maximum: int, table_entries: int, initial: int = 0) -> None:
-        check_in_range(maximum, 1, 30, "maximum")
-        check_in_range(initial, 0, maximum, "initial")
-        mask = bit_mask(maximum)
-        self.maximum = maximum
-        self._cir = CIRTableObserver(maximum, table_entries, (mask << initial) & mask)
-
-    def observe(self, indices: np.ndarray, correct: np.ndarray) -> np.ndarray:
-        patterns = self._cir.observe(indices, correct)
-        lowest = patterns & -patterns
-        return np.where(
-            patterns == 0,
-            self.maximum,
-            np.log2(np.maximum(lowest, 1)).astype(np.int64),
-        ).astype(np.int64)
-
-
-class SaturatingCounterObserver:
-    """Chunked saturating counters (segmented clamped-walk kernel)."""
-
-    def __init__(self, maximum: int, table_entries: int, initial: int = 0) -> None:
-        check_positive(maximum, "maximum")
-        check_in_range(initial, 0, maximum, "initial")
-        check_positive(table_entries, "table_entries")
-        self.maximum = maximum
-        self.table = np.full(table_entries, initial, dtype=np.int64)
-
-    def observe(self, indices: np.ndarray, correct: np.ndarray) -> np.ndarray:
-        deltas = np.where(np.asarray(correct) != 0, 1, -1)
-        values, self.table = segmented_clamped_walk(
-            indices, deltas, 0, self.maximum, self.table
-        )
-        return values
-
-
-class TwoLevelObserver:
-    """Chunked two-level CIR mechanism (both levels carried)."""
-
-    def __init__(
-        self,
-        level1_cir_bits: int,
-        level2_cir_bits: int,
-        table_entries: int,
-        second_use_pc: bool = False,
-        second_use_bhr: bool = False,
-        level1_init=0,
-        level2_init=0,
-    ) -> None:
-        self.level1 = CIRTableObserver(level1_cir_bits, table_entries, level1_init)
-        self.level2 = CIRTableObserver(
-            level2_cir_bits, 1 << level1_cir_bits, level2_init
-        )
-        self.second_use_pc = second_use_pc
-        self.second_use_bhr = second_use_bhr
-        self._level1_mask = bit_mask(level1_cir_bits)
-
-    def observe(
-        self,
-        level1_indices: np.ndarray,
-        correct: np.ndarray,
-        pcs: np.ndarray,
-        bhrs: np.ndarray,
-    ) -> np.ndarray:
-        cir1 = self.level1.observe(level1_indices, correct)
-        level2_indices = cir1.copy()
-        if self.second_use_pc:
-            level2_indices ^= np.asarray(pcs, dtype=np.int64) >> _PC_ALIGNMENT_BITS
-        if self.second_use_bhr:
-            level2_indices ^= np.asarray(bhrs, dtype=np.int64)
-        level2_indices &= self._level1_mask
-        return self.level2.observe(level2_indices, correct)

@@ -11,20 +11,23 @@ semantics:
    confidence experiment (see :mod:`repro.sim.cache`).
 
 2. **CIR tables are linear shift registers.**  The pattern an access
-   reads is fully determined by the previous accesses to the same entry:
-   after ``r`` updates with incorrect-bits ``b_1 .. b_r`` (newest last),
-   the pattern is ``((P0 << r) | b_r b_{r-1} ... b_1) & mask`` where
-   ``P0`` is the entry's initial pattern.  Grouping accesses by entry
-   (one stable argsort) turns per-access pattern reconstruction into
-   ``cir_bits`` vectorized shifted gathers — :func:`cir_pattern_stream`.
+   reads is fully determined by the previous accesses to the same entry,
+   so one stable argsort by entry turns per-access pattern
+   reconstruction into vectorized lagged shifts.  The per-access
+   functions here are single-stream views of the grid grouping in
+   :mod:`repro.sim.kernels` that :class:`repro.sim.batched.GridObserver`
+   runs over whole experiment grids: one pass yields both the patterns
+   each access read and the table after the stream.
 
 Resetting counters are a pure function of the (wide-enough) CIR, so they
-ride the same machinery; saturating counters genuinely need a sequential
-scan (:func:`saturating_counter_stream`).  Two-level tables cascade two
-grouped scans (:func:`two_level_pattern_stream`).
+ride the same pass; saturating counters are a segmented clamp-affine scan
+(:func:`saturating_counter_stream`).  Two-level tables cascade two
+grouped passes (:func:`two_level_pattern_stream`).
 
-Exact equivalence with :mod:`repro.sim.engine` is asserted by the test
-suite, including under hypothesis-generated random traces.
+These per-access streams feed the application models and the
+context-switch ablation, and serve as the golden reference of the grid
+kernel.  Exact equivalence with :mod:`repro.sim.engine` is asserted by
+the test suite, including under hypothesis-generated random traces.
 """
 
 from __future__ import annotations
@@ -35,13 +38,16 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.core.indexing import PC_ALIGNMENT_BITS
+from repro.sim.kernels import (
+    flatten_and_group,
+    lagged_shifts,
+    resetting_counts,
+    segmented_clamped_walk,
+)
 from repro.traces.trace import Trace
 from repro.utils.bits import bit_mask
 from repro.utils.validation import check_in_range, check_positive
-
-#: 2-bit counter initial value matching the paper ("weakly taken").
-_WEAKLY_TAKEN = 2
-_PC_ALIGNMENT_BITS = 2
 
 
 @dataclass(frozen=True)
@@ -82,13 +88,7 @@ class PredictorStreams:
         branch ``t - 1 - j``, which makes the whole stream a stack of
         lagged shifts rather than a sequential scan.
         """
-        n = self.num_branches
-        incorrect = (self.correct == 0).astype(np.int64)
-        values = np.zeros(n, dtype=np.int64)
-        for j in range(self.gcir_bits):
-            if n > j + 1:
-                values[j + 1:] |= incorrect[: n - j - 1] << j
-        return values
+        return lagged_shifts((self.correct == 0).astype(np.int64), self.gcir_bits)
 
 
 def predictor_streams(
@@ -132,16 +132,30 @@ def predictor_streams(
 InitPatterns = Union[int, np.ndarray]
 
 
-def _group_ranks(sorted_indices: np.ndarray) -> np.ndarray:
-    """Rank of each sorted position within its (contiguous) index group."""
-    n = sorted_indices.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    is_start = np.concatenate(([True], sorted_indices[1:] != sorted_indices[:-1]))
-    group_starts = np.flatnonzero(is_start)
-    group_sizes = np.diff(np.concatenate((group_starts, [n])))
-    start_of_position = np.repeat(group_starts, group_sizes)
-    return np.arange(n, dtype=np.int64) - start_of_position
+def _initial_table(init_patterns: InitPatterns, entries: int) -> np.ndarray:
+    """A fresh per-entry pattern table (an array init is copied as is)."""
+    if isinstance(init_patterns, np.ndarray):
+        return init_patterns.astype(np.int64)
+    return np.full(entries, int(init_patterns), dtype=np.int64)
+
+
+def _cir_pass(
+    indices: np.ndarray, correct: np.ndarray, cir_bits: int, table: np.ndarray
+) -> np.ndarray:
+    """One grouped pass over a single stream: the grid grouping of one.
+
+    Returns the pattern each access read, in time order, and advances
+    ``table`` in place to the per-entry patterns after the stream.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    correct_arr = np.asarray(correct)
+    if indices.shape != correct_arr.shape:
+        raise ValueError("indices and correct must have equal length")
+    incorrect = (correct_arr == 0).astype(np.int64)
+    grouped = flatten_and_group([indices], [table.shape[0]], incorrect, cir_bits)
+    patterns = np.empty(indices.shape[0], dtype=np.int64)
+    patterns[grouped.order] = grouped.pattern_segment(0, cir_bits, table)
+    return patterns
 
 
 def cir_pattern_stream(
@@ -170,35 +184,8 @@ def cir_pattern_stream(
     """
     check_in_range(cir_bits, 1, 30, "cir_bits")
     indices = np.asarray(indices, dtype=np.int64)
-    correct_arr = np.asarray(correct)
-    if indices.shape != correct_arr.shape:
-        raise ValueError("indices and correct must have equal length")
-    n = indices.shape[0]
-    mask = bit_mask(cir_bits)
-
-    order = np.argsort(indices, kind="stable")
-    sorted_indices = indices[order]
-    incorrect_sorted = (correct_arr[order] == 0).astype(np.int64)
-    ranks = _group_ranks(sorted_indices)
-
-    history_bits = np.zeros(n, dtype=np.int64)
-    for j in range(cir_bits):
-        lagged = np.zeros(n, dtype=np.int64)
-        if n > j + 1:
-            lagged[j + 1:] = incorrect_sorted[: n - j - 1]
-        history_bits |= np.where(ranks > j, lagged << j, 0)
-
-    if isinstance(init_patterns, np.ndarray):
-        initial = init_patterns.astype(np.int64)[sorted_indices]
-    else:
-        initial = np.full(n, int(init_patterns), dtype=np.int64)
-    shift = np.minimum(ranks, cir_bits)
-    init_part = (initial << shift) & mask
-
-    patterns_sorted = init_part | history_bits
-    patterns = np.empty(n, dtype=np.int64)
-    patterns[order] = patterns_sorted
-    return patterns
+    entries = int(indices.max(initial=-1)) + 1
+    return _cir_pass(indices, correct, cir_bits, _initial_table(init_patterns, entries))
 
 
 def two_level_pattern_stream(
@@ -223,7 +210,7 @@ def two_level_pattern_stream(
     cir1 = cir_pattern_stream(level1_indices, correct, level1_cir_bits, level1_init)
     level2_indices = cir1.copy()
     if second_use_pc:
-        level2_indices ^= np.asarray(pcs, dtype=np.int64) >> _PC_ALIGNMENT_BITS
+        level2_indices ^= np.asarray(pcs, dtype=np.int64) >> PC_ALIGNMENT_BITS
     if second_use_bhr:
         level2_indices ^= np.asarray(bhrs, dtype=np.int64)
     level2_indices &= bit_mask(level1_cir_bits)
@@ -248,13 +235,7 @@ def resetting_counter_stream(
     mask = bit_mask(maximum)
     init_pattern = (mask << initial) & mask
     patterns = cir_pattern_stream(indices, correct, maximum, init_pattern)
-    lowest = patterns & -patterns
-    counts = np.where(
-        patterns == 0,
-        maximum,
-        np.log2(np.maximum(lowest, 1)).astype(np.int64),
-    )
-    return counts.astype(np.int64)
+    return resetting_counts(patterns, maximum)
 
 
 def final_cir_patterns(
@@ -272,24 +253,13 @@ def final_cir_patterns(
     switches.
     """
     check_in_range(cir_bits, 1, 30, "cir_bits")
-    mask = bit_mask(cir_bits)
-    if isinstance(init_patterns, np.ndarray):
-        finals = init_patterns.astype(np.int64).copy()
-        if finals.shape != (table_entries,):
-            raise ValueError(
-                f"init_patterns must cover {table_entries} entries, "
-                f"got shape {finals.shape}"
-            )
-    else:
-        finals = np.full(table_entries, int(init_patterns), dtype=np.int64)
-    if indices.shape[0] == 0:
-        return finals
-    pre_patterns = cir_pattern_stream(indices, correct, cir_bits, init_patterns)
-    incorrect = (np.asarray(correct) == 0).astype(np.int64)
-    post_patterns = ((pre_patterns << 1) | incorrect) & mask
-    # The last occurrence of each entry wins; np assignment applies in
-    # order, so later positions overwrite earlier ones.
-    finals[np.asarray(indices, dtype=np.int64)] = post_patterns
+    finals = _initial_table(init_patterns, table_entries)
+    if finals.shape != (table_entries,):
+        raise ValueError(
+            f"init_patterns must cover {table_entries} entries, "
+            f"got shape {finals.shape}"
+        )
+    _cir_pass(indices, correct, cir_bits, finals)
     return finals
 
 
@@ -321,33 +291,24 @@ def cir_pattern_stream_with_flushes(
     # A non-positive interval would make the segment loop below produce an
     # empty (or never-terminating) stream; reject it up front.
     check_positive(flush_interval, "flush_interval")
+    check_in_range(cir_bits, 1, 30, "cir_bits")
     indices = np.asarray(indices, dtype=np.int64)
     correct_arr = np.asarray(correct)
     n = indices.shape[0]
     oldest_bit = 1 << (cir_bits - 1)
 
     patterns = np.empty(n, dtype=np.int64)
-    if isinstance(base_init, np.ndarray):
-        current_init: InitPatterns = base_init.astype(np.int64)
-    else:
-        current_init = int(base_init)
+    table = _initial_table(base_init, table_entries)
     for start in range(0, n, flush_interval):
         stop = min(start + flush_interval, n)
-        segment_indices = indices[start:stop]
-        segment_correct = correct_arr[start:stop]
-        patterns[start:stop] = cir_pattern_stream(
-            segment_indices, segment_correct, cir_bits, current_init
-        )
-        if stop == n:
-            break
-        if policy == "reinit":
-            continue  # current_init stays the base initialization
-        finals = final_cir_patterns(
-            segment_indices, segment_correct, cir_bits, current_init, table_entries
+        if policy == "reinit" and start:
+            table = _initial_table(base_init, table_entries)
+        # One pass per segment: the patterns read and the table carried on.
+        patterns[start:stop] = _cir_pass(
+            indices[start:stop], correct_arr[start:stop], cir_bits, table
         )
         if policy == "keep_lastbit":
-            finals |= oldest_bit
-        current_init = finals
+            table |= oldest_bit
     return patterns
 
 
@@ -362,13 +323,11 @@ def saturating_counter_stream(
 
     Saturation is a non-linear recurrence, but the per-step update is a
     clamp-affine function, so the whole table evaluates as one segmented
-    clamped-walk scan (:func:`repro.sim.chunked.segmented_clamped_walk`)
+    clamped-walk scan (:func:`repro.sim.kernels.segmented_clamped_walk`)
     instead of a sequential Python loop.
     """
     check_positive(maximum, "maximum")
     check_in_range(initial, 0, maximum, "initial")
-    from repro.sim.chunked import segmented_clamped_walk
-
     indices = np.asarray(indices, dtype=np.int64)
     correct_arr = np.asarray(correct)
     n = indices.shape[0]

@@ -40,20 +40,6 @@ class TestProtocol:
         json.dumps(record)  # fully JSON-serializable
 
 
-class TestDeprecatedAliases:
-    def test_old_attribute_names_warn_but_work(self):
-        dual = evaluate_dual_path(SMALL)
-        smt = evaluate_smt_fetch(SMALL)
-        reverser = evaluate_reverser(SMALL)
-        for report, alias in (
-            (dual, "per_benchmark_speedup"),
-            (smt, "per_benchmark_gain"),
-            (reverser, "per_benchmark_pattern_gain"),
-        ):
-            with pytest.deprecated_call():
-                assert getattr(report, alias) == report.per_benchmark
-
-
 class TestCliJson:
     def test_json_to_stdout(self, capsys):
         code = main([

@@ -1,15 +1,19 @@
-"""Grid-equivalence golden suite for the batched sweep engine.
+"""Grid-equivalence golden suite: reference kernels versus production.
 
-The batched engine (:mod:`repro.sim.batched`) is an execution strategy,
-not a model change: everywhere it is reachable it must produce results
-bit-identical to the per-config path.  This suite pins that contract at
-three levels — the full experiment registry, the :func:`sweep_grid`
-statistics across chunk sizes and job counts (singleton grids and the
-direct ``*_statistics`` helpers included), and the raw kernel on
-hypothesis-generated ragged grids — plus the parity bugfixes that rode
-along (serial-report metrics lifecycle, config range validation, fig10
-stream dedupe).
+:class:`repro.sim.batched.GridObserver` is the one production kernel of
+every confidence-table statistic.  Its reference is the single-stream
+per-access kernels of :mod:`repro.sim.fast`, run one spec at a time over
+the whole stream (``test_sim_fast.py`` pins those to the
+:mod:`repro.sim.engine` oracle).  This suite pins the contract at three
+levels — the full experiment registry across chunk sizes and job counts,
+the :func:`sweep_grid` statistics (singleton grids and the direct
+``*_statistics`` helpers included), and the raw kernel on
+hypothesis-generated ragged grids — plus grid fusion and the parity
+bugfixes that rode along (serial-report metrics lifecycle, config
+validation, fig10 stream dedupe).
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -20,9 +24,11 @@ from repro import observability
 from repro.analysis.buckets import BucketStatistics
 from repro.cli import main
 from repro.core.indexing import XorIndex, make_index
+from repro.experiments import runner
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import (
     _serial_report,
+    get_experiment,
     list_experiments,
     run_all_reports,
     run_experiment_report,
@@ -31,6 +37,7 @@ from repro.experiments.runner import (
     one_level_pattern_statistics,
     resetting_counter_statistics,
     saturating_counter_statistics,
+    suite_streams,
     sweep_grid,
     two_level_pattern_statistics,
 )
@@ -40,12 +47,12 @@ from repro.sim.cache import (
     clear_stream_cache,
     sweep_memory_tier_info,
 )
-from repro.sim.chunked import (
-    CIRTableObserver,
-    ResettingCounterObserver,
-    SaturatingCounterObserver,
-    StreamChunk,
-    TwoLevelObserver,
+from repro.sim.chunked import StreamChunk
+from repro.sim.fast import (
+    cir_pattern_stream,
+    resetting_counter_stream,
+    saturating_counter_stream,
+    two_level_pattern_stream,
 )
 from repro.testing import faults
 from repro.utils.bits import bit_mask
@@ -87,6 +94,66 @@ def _mixed_grid(config):
     ]
 
 
+def _reference_values(spec, pcs, bhrs, gcirs, correct):
+    """One spec's per-access bucket stream from the single-stream kernels."""
+    index = spec.index_function
+    zero_gcirs = np.zeros(len(correct), dtype=np.int64)
+    if spec.kind == "two_level":
+        # The level-1 index always reads a zero global-CIR stream.
+        ones = bit_mask(spec.width)
+        return two_level_pattern_stream(
+            index.vectorized(pcs, bhrs, zero_gcirs),
+            correct,
+            pcs,
+            bhrs,
+            level1_cir_bits=spec.width,
+            level2_cir_bits=spec.width,
+            second_use_pc=spec.second_use_pc,
+            second_use_bhr=spec.second_use_bhr,
+            level1_init=ones,
+            level2_init=ones,
+        )
+    indices = index.vectorized(pcs, bhrs, gcirs if index.uses_gcir else zero_gcirs)
+    if spec.kind == "pattern":
+        return cir_pattern_stream(indices, correct, spec.width, spec.init)
+    if spec.kind == "resetting":
+        return resetting_counter_stream(indices, correct, maximum=spec.width)
+    return saturating_counter_stream(
+        indices, correct, maximum=spec.width, table_entries=index.table_entries
+    )
+
+
+def _reference_statistics(specs, chunk):
+    """Reference statistics of every spec over one whole chunk."""
+    return [
+        BucketStatistics.from_streams(
+            _reference_values(
+                spec, chunk.pcs, chunk.bhrs, chunk.gcirs, chunk.correct
+            ),
+            chunk.correct,
+            num_buckets=spec.num_buckets,
+        )
+        for spec in specs
+    ]
+
+
+def _reference_grid(config, specs):
+    """Reference per-benchmark statistics, shaped like :func:`sweep_grid`."""
+    per_spec = [{} for _ in specs]
+    for name, streams in suite_streams(config).items():
+        chunk = StreamChunk(
+            trace_name=name,
+            start=0,
+            correct=streams.correct,
+            bhrs=streams.bhrs,
+            pcs=streams.pcs,
+            gcirs=streams.gcirs,
+        )
+        for position, stats in enumerate(_reference_statistics(specs, chunk)):
+            per_spec[position][name] = stats
+    return per_spec
+
+
 def _assert_grid_results_equal(batched, per_config):
     assert len(batched) == len(per_config)
     for left, right in zip(batched, per_config):
@@ -97,43 +164,89 @@ def _assert_grid_results_equal(batched, per_config):
 
 
 class TestRegistryGolden:
-    """Every registered experiment, byte-identical under both engines."""
+    """Every registered experiment, byte-identical for any chunking."""
 
-    def test_full_registry_bit_identical(self, cache_dir):
-        for experiment in list_experiments():
-            clear_stream_cache()
-            batched = experiment.run(CONFIG.scaled(engine="batched")).format()
-            clear_stream_cache()
-            per_config = experiment.run(CONFIG.scaled(engine="per-config")).format()
-            assert batched == per_config, experiment.id
+    def test_full_registry_bit_identical(self, cache_dir, monkeypatch):
+        # Per-chunk disk entries would dominate at tiny chunk sizes, so the
+        # disk tiers are off; the memory tiers and the grid kernel still
+        # run.  ablation-trace-length sweeps its own fixed 20k-160k
+        # lengths, which only the 512-branch chunks keep affordable.
+        monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+        for chunk_size, length in ((512, 1200), (7, 240), (1, 80)):
+            config = CONFIG.scaled(trace_length=length)
+            for experiment in list_experiments():
+                if chunk_size < 512 and experiment.id == "ablation-trace-length":
+                    continue
+                clear_stream_cache()
+                monolithic = experiment.run(config).format()
+                clear_stream_cache()
+                chunked = experiment.run(config.scaled(chunk_size=chunk_size))
+                assert chunked.format() == monolithic, (experiment.id, chunk_size)
 
     def test_jobs_interplay_bit_identical(self, cache_dir):
-        """jobs=2 warms the pool under the batched engine; output unchanged."""
+        """jobs=2 warms the stream tier through the pool; output unchanged."""
         ids = ["fig8", "fig10"]
-        serial = run_all_reports(
-            CONFIG.scaled(engine="per-config"), experiment_ids=ids, jobs=1
-        )
+        serial = run_all_reports(CONFIG, experiment_ids=ids, jobs=1)
         clear_stream_cache()
-        parallel = run_all_reports(
-            CONFIG.scaled(engine="batched", jobs=2), experiment_ids=ids
-        )
+        parallel = run_all_reports(CONFIG.scaled(jobs=2), experiment_ids=ids)
         assert [r.text for r in serial] == [r.text for r in parallel]
 
 
+#: The registered experiments whose whole grid is one fused sweep.
+GRID_EXPERIMENTS = (
+    "fig5",
+    "fig6",
+    "fig8",
+    "fig10",
+    "fig11",
+    "ablation-indexing",
+    "ablation-counter-width",
+)
+
+
+class TestGridFusion:
+    """Structural fusion: one sweep_grid call per experiment grid."""
+
+    @pytest.mark.parametrize("experiment_id", GRID_EXPERIMENTS)
+    def test_one_fused_sweep_per_benchmark(
+        self, cache_dir, monkeypatch, experiment_id
+    ):
+        experiment = get_experiment(experiment_id)
+        calls = []
+
+        def recording_sweep_grid(config, specs):
+            before = observability.counter_value("batched.grid_sweeps")
+            result = sweep_grid(config, specs)
+            after = observability.counter_value("batched.grid_sweeps")
+            calls.append((len(specs), after - before))
+            return result
+
+        module = sys.modules[experiment.run.__module__]
+        monkeypatch.setattr(module, "sweep_grid", recording_sweep_grid)
+        monkeypatch.setattr(runner, "sweep_grid", recording_sweep_grid)
+        config = CONFIG.scaled(trace_length=1200)
+        experiment.run(config)
+        assert len(calls) == 1, calls
+        grid_size, sweeps = calls[0]
+        assert 3 <= grid_size <= 6
+        assert sweeps == len(config.benchmarks)
+
+
 class TestSweepGridGolden:
-    """sweep_grid parity across chunk sizes, plus engine-path routing."""
+    """sweep_grid against the reference kernels, across chunk sizes."""
 
     @pytest.mark.parametrize(
         ("chunk_size", "length"),
         [(1, 120), (64, 1200), (1024, 3000), (None, 3000)],
     )
     def test_chunk_sizes_bit_identical(self, cache_dir, chunk_size, length):
-        config = CONFIG.scaled(trace_length=length, chunk_size=chunk_size)
+        config = CONFIG.scaled(trace_length=length)
         specs = _mixed_grid(config)
-        batched = sweep_grid(config.scaled(engine="batched"), specs)
+        chunked = sweep_grid(config.scaled(chunk_size=chunk_size), specs)
         clear_stream_cache()
-        per_config = sweep_grid(config.scaled(engine="per-config"), specs)
-        _assert_grid_results_equal(batched, per_config)
+        monolithic = sweep_grid(config, specs)
+        _assert_grid_results_equal(chunked, monolithic)
+        _assert_grid_results_equal(monolithic, _reference_grid(config, specs))
 
     def test_singleton_requests_use_sweep_tier(self, cache_dir):
         """Singleton grids and direct helper calls live in the sweep tier.
@@ -180,30 +293,29 @@ class TestSweepGridGolden:
     @pytest.mark.parametrize("chunk_size", [None, 512])
     def test_helpers_bit_identical_to_per_config(self, cache_dir, chunk_size):
         config = CONFIG.scaled(trace_length=1500, chunk_size=chunk_size)
-        gcir_index = XorIndex(
-            config.ct_index_bits, use_pc=True, use_bhr=True, use_gcir=True
-        )
-
-        def helpers(engine):
-            scaled = config.scaled(engine=engine)
-            return [
-                one_level_pattern_statistics(scaled),
-                one_level_pattern_statistics(scaled, index_function=gcir_index),
-                one_level_pattern_statistics(
-                    scaled.scaled(cir_bits=5), "bhr", init_patterns=0
-                ),
-                two_level_pattern_statistics(scaled, second_use_bhr=True),
-                resetting_counter_statistics(scaled, maximum=6, ct_index_bits=7),
-                saturating_counter_statistics(scaled, maximum=3, index_kind="pc"),
-            ]
-
-        batched = helpers("batched")
+        bits = config.ct_index_bits
+        index = make_index("pc_xor_bhr", bits)
+        gcir_index = XorIndex(bits, use_pc=True, use_bhr=True, use_gcir=True)
+        helpers = [
+            one_level_pattern_statistics(config),
+            one_level_pattern_statistics(config, index_function=gcir_index),
+            one_level_pattern_statistics(
+                config.scaled(cir_bits=5), "bhr", init_patterns=0
+            ),
+            two_level_pattern_statistics(config, second_use_bhr=True),
+            resetting_counter_statistics(config, maximum=6, ct_index_bits=7),
+            saturating_counter_statistics(config, maximum=3, index_kind="pc"),
+        ]
         assert observability.counter_value("batched.grid_sweeps") > 0
-        clear_stream_cache()
-        observability.reset_metrics()
-        per_config = helpers("per-config")
-        assert observability.counter_value("batched.grid_sweeps") == 0
-        _assert_grid_results_equal(batched, per_config)
+        specs = [
+            SweepSpec.pattern(index, config.cir_bits),
+            SweepSpec.pattern(gcir_index, config.cir_bits),
+            SweepSpec.pattern(make_index("bhr", bits), 5, init=0),
+            SweepSpec.two_level(index, config.cir_bits, second_use_bhr=True),
+            SweepSpec.resetting(make_index("pc_xor_bhr", 7), 6),
+            SweepSpec.saturating(make_index("pc", bits), 3),
+        ]
+        _assert_grid_results_equal(helpers, _reference_grid(config, specs))
 
     def test_sweep_memo_stays_within_byte_bound(self, cache_dir):
         """Results larger in sum than the bound evict least-recent first."""
@@ -236,9 +348,11 @@ class TestSweepGridGolden:
         assert observability.counter_value("batched.grid_sweeps") == 0
 
     def test_per_config_engine_never_runs_kernel(self, cache_dir):
-        config = CONFIG.scaled(trace_length=1200, engine="per-config")
-        sweep_grid(config, _mixed_grid(config))
+        """The single-stream reference kernels bypass the grid and its tier."""
+        config = CONFIG.scaled(trace_length=1200)
+        _reference_grid(config, _mixed_grid(config))
         assert observability.counter_value("batched.grid_sweeps") == 0
+        assert observability.counter_value("sweep_cache.stores") == 0
 
     def test_sweep_cache_tiers(self, cache_dir):
         config = CONFIG.scaled(trace_length=1200)
@@ -274,7 +388,7 @@ class TestSweepGridGolden:
     def test_fig10_sweeps_each_benchmark_once(self, cache_dir):
         """Regression: fig10 used to recompute streams for headline sizes.
 
-        The deduped grid submits every table size in one SweepRequest, so
+        The deduped grid submits every table size in one sweep_grid call, so
         a cold run does exactly one batched sweep per benchmark — not one
         per (benchmark, size) — and a warm rerun does none.
         """
@@ -289,49 +403,6 @@ class TestSweepGridGolden:
         second = fig10_small_tables.run(config).format()
         assert observability.counter_value("batched.grid_sweeps") == 0
         assert first == second
-
-
-def _reference_statistics(specs, chunks):
-    """Per-config reference: the chunked observers, one spec at a time."""
-    totals = [BucketStatistics.zeros(spec.num_buckets) for spec in specs]
-    observers = []
-    for spec in specs:
-        entries = spec.index_function.table_entries
-        if spec.kind == "pattern":
-            observers.append(CIRTableObserver(spec.width, entries, spec.init))
-        elif spec.kind == "resetting":
-            observers.append(ResettingCounterObserver(spec.width, entries))
-        elif spec.kind == "saturating":
-            observers.append(SaturatingCounterObserver(spec.width, entries))
-        else:
-            ones = bit_mask(spec.width)
-            observers.append(
-                TwoLevelObserver(
-                    level1_cir_bits=spec.width,
-                    level2_cir_bits=spec.width,
-                    table_entries=entries,
-                    second_use_pc=spec.second_use_pc,
-                    second_use_bhr=spec.second_use_bhr,
-                    level1_init=ones,
-                    level2_init=ones,
-                )
-            )
-    for chunk in chunks:
-        zero_gcirs = np.zeros(chunk.num_branches, dtype=np.int64)
-        for position, (spec, observer) in enumerate(zip(specs, observers)):
-            if spec.kind == "two_level":
-                indices = spec.index_function.vectorized(
-                    chunk.pcs, chunk.bhrs, zero_gcirs
-                )
-                values = observer.observe(indices, chunk.correct, chunk.pcs, chunk.bhrs)
-            else:
-                gcirs = chunk.gcirs if spec.index_function.uses_gcir else zero_gcirs
-                indices = spec.index_function.vectorized(chunk.pcs, chunk.bhrs, gcirs)
-                values = observer.observe(indices, chunk.correct)
-            totals[position] = totals[position] + BucketStatistics.from_streams(
-                values, chunk.correct, num_buckets=spec.num_buckets
-            )
-    return totals
 
 
 def _split_chunks(chunk, piece):
@@ -366,7 +437,7 @@ _SPEC_DESCRIPTORS = st.lists(
 
 
 class TestRaggedGridProperty:
-    """Hypothesis: the kernel matches the per-config observers on any grid."""
+    """Hypothesis: the kernel matches the reference kernels on any grid."""
 
     @staticmethod
     def _build_specs(descriptors, rng):
@@ -415,7 +486,7 @@ class TestRaggedGridProperty:
         )
         specs = self._build_specs(descriptors, rng)
 
-        reference = _reference_statistics(specs, [chunk])
+        reference = _reference_statistics(specs, chunk)
 
         monolithic = GridObserver(specs)
         monolithic.observe(chunk)
@@ -502,7 +573,7 @@ class TestConfigValidation:
             ({"chunk_size": 0}, "--chunk-size must be >= 1"),
             ({"max_retries": -1}, "--max-retries must be >= 0"),
             ({"task_timeout": 0.0}, "--task-timeout must be > 0"),
-            ({"engine": "turbo"}, "--engine must be one of batched, per-config"),
+            ({"trace_length": 0}, "--length must be >= 1"),
         ],
     )
     def test_programmatic_construction_fails_fast(self, overrides, message):
@@ -519,9 +590,10 @@ class TestConfigValidation:
         assert str(excinfo.value) == "--jobs must be >= 1"
 
     def test_cli_engine_flag(self, cache_dir, capsys):
+        """The retired ``--engine`` knob is an argparse usage error."""
         argv = ["run", "fig5", "--length", "1200", "--benchmarks", "jpeg_play"]
-        assert main(argv + ["--engine", "per-config"]) == 0
-        assert main(argv + ["--engine", "batched"]) == 0
+        assert main(argv) == 0
         capsys.readouterr()
-        with pytest.raises(SystemExit):
-            main(argv + ["--engine", "turbo"])
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--engine", "per-config"])
+        assert excinfo.value.code == 2

@@ -1,8 +1,18 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
+import os
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.workloads.ibs import benchmark_names
+from repro.workloads.spec_like import spec_benchmark_names
 
 
 class TestList:
@@ -126,3 +136,94 @@ class TestRunAll:
             "needs ≥ 2 benchmarks"
         )
         assert not report[2:] or not report[2].strip()
+
+
+_KNOWN_BENCHMARKS = set(benchmark_names()) | set(spec_benchmark_names())
+
+#: One invalid option group each; any mix of them is an invalid config.
+_INVALID_OPTIONS = st.one_of(
+    st.integers(max_value=0).map(lambda v: ["--length", str(v)]),
+    st.integers(max_value=0).map(lambda v: ["--jobs", str(v)]),
+    st.integers(max_value=0).map(lambda v: ["--chunk-size", str(v)]),
+    st.integers(max_value=-1).map(lambda v: ["--max-retries", str(v)]),
+    st.floats(max_value=0.0, allow_nan=False, allow_infinity=False).map(
+        lambda v: ["--task-timeout", repr(v)]
+    ),
+    st.text(alphabet="abcgxyz_", min_size=1, max_size=8)
+    .filter(lambda name: name not in _KNOWN_BENCHMARKS)
+    .map(lambda name: ["--benchmarks", name]),
+    st.sampled_from(benchmark_names()).map(lambda name: ["--benchmarks", name, name]),
+    st.sampled_from(["batched", "per-config", "turbo"]).map(
+        lambda engine: ["--engine", engine]
+    ),
+    st.sampled_from(["--length", "--seed", "--jobs"]).map(lambda flag: [flag, "many"]),
+)
+
+
+def _run_cli(argv):
+    """Exit code and stderr lines of one in-process CLI invocation.
+
+    ``SystemExit("message")`` is what the interpreter prints as one
+    stderr line with exit status 1, so it is reported that way.
+    """
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    lines = stderr.getvalue().splitlines()
+    if isinstance(code, str):
+        lines.append(code)
+        code = 1
+    return code, lines
+
+
+class TestInvalidConfigs:
+    """Invalid configs end in one error line and exit 1 or 2, never a traceback."""
+
+    @given(
+        command=st.sampled_from(
+            [["run-all"], ["run", "fig5"], ["fabric", "status"]]
+        ),
+        options=st.lists(_INVALID_OPTIONS, min_size=1, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_invalid_configs_fail_cleanly(self, command, options):
+        argv = command + [token for group in options for token in group]
+        code, lines = _run_cli(argv)
+        assert code in (1, 2), (argv, code, lines)
+        assert lines and lines[-1].strip(), argv
+        assert not any("Traceback" in line for line in lines), argv
+        if code == 1:
+            # Config validation: exactly the one message line.
+            assert len(lines) == 1, (argv, lines)
+        else:
+            # argparse usage error: usage text, then one error line.
+            assert ": error: " in lines[-1], (argv, lines)
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--length", "0"], "--length must be >= 1"),
+            (["--length", "-5"], "--length must be >= 1"),
+            (["--benchmarks", "gcc", "gcc"], "--benchmarks must not repeat a benchmark"),
+        ],
+    )
+    def test_run_all_reports_one_line(self, flags, message):
+        """Regression: these crashed ``run-all`` with a long traceback."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "run-all", *flags],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.splitlines() == [message]
+
+    def test_unknown_benchmark_named_in_message(self):
+        code, lines = _run_cli(["run-all", "--benchmarks", "nosuch"])
+        assert code == 1
+        assert len(lines) == 1
+        assert lines[0].startswith("unknown benchmark 'nosuch'; expected one of ")

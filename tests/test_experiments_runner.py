@@ -9,10 +9,9 @@ from repro.core.indexing import ConcatIndex, GlobalCIRIndex, PCIndex, XorIndex
 from repro.core.init_policies import init_ones
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
-    _maybe_gcirs,
+    _monolithic_chunk,
     one_level_pattern_statistics,
     ones_init,
-    per_benchmark_map,
     resetting_counter_statistics,
     saturating_counter_statistics,
     static_branch_statistics,
@@ -22,6 +21,7 @@ from repro.experiments.runner import (
 )
 from repro.predictors import GsharePredictor
 from repro.sim import simulate
+from repro.sim.batched import GridObserver, SweepSpec
 from repro.workloads import load_benchmark
 
 CONFIG = ExperimentConfig(
@@ -111,18 +111,6 @@ class TestStatisticsHelpers:
                 streams[name].pcs
             ).size
 
-    def test_per_benchmark_map(self):
-        def build(name, streams):
-            return BucketStatistics.from_streams(
-                np.zeros(streams.num_branches, dtype=np.int64),
-                streams.correct,
-                num_buckets=1,
-            )
-
-        stats = per_benchmark_map(CONFIG, build)
-        assert set(stats) == {"jpeg_play", "gcc"}
-        assert stats["gcc"].total == 6_000
-
     def test_ones_init_width(self):
         assert ones_init(CONFIG) == (1 << CONFIG.cir_bits) - 1
 
@@ -130,11 +118,13 @@ class TestStatisticsHelpers:
 class TestGcirIndexedStatistics:
     """Regression coverage for the concat-GCIR indexing bug.
 
-    ``_maybe_gcirs`` used to sniff ``"GCIR" in index_function.name``,
-    which misses :class:`ConcatIndex`'s lowercase field names
-    (``cat(gcir:8,...)``) — concat-indexed GCIR configurations silently
-    ran on an all-zeros GCIR stream.  These tests pin the fast-path
-    statistics against the reference engine driven with the same index.
+    The GCIR feed used to be decided by sniffing ``"GCIR" in
+    index_function.name``, which misses :class:`ConcatIndex`'s lowercase
+    field names (``cat(gcir:8,...)``) — concat-indexed GCIR configurations
+    silently ran on an all-zeros GCIR stream.  The decision now lives in
+    :attr:`SweepSpec.feeds_gcir` / :attr:`GridObserver.needs_gcir`.  These
+    tests pin the production statistics against the reference engine
+    driven with the same index.
     """
 
     #: Small geometry so the reference engine stays fast; widths chosen
@@ -200,8 +190,18 @@ class TestGcirIndexedStatistics:
         assert not np.array_equal(fast.counts, buggy.counts)
 
     def test_maybe_gcirs_dispatch(self):
-        streams = suite_streams(self.CONFIG)["jpeg_play"]
         concat = ConcatIndex(8, fields=[("gcir", 4), ("pc", 4)])
-        assert _maybe_gcirs(concat, streams) is streams.gcirs
-        assert _maybe_gcirs(concat, streams).any()
-        assert not _maybe_gcirs(PCIndex(8), streams).any()
+        width = self.CONFIG.cir_bits
+        assert SweepSpec.pattern(concat, width).feeds_gcir
+        assert not SweepSpec.pattern(PCIndex(8), width).feeds_gcir
+        # A two-level level-1 index always reads a zero GCIR stream.
+        assert not SweepSpec.two_level(concat, width).feeds_gcir
+        observer = GridObserver([SweepSpec.pattern(concat, width)])
+        assert observer.needs_gcir
+        assert not GridObserver([SweepSpec.pattern(PCIndex(8), width)]).needs_gcir
+
+        streams = suite_streams(self.CONFIG)["jpeg_play"]
+        chunk = _monolithic_chunk(streams, observer.needs_gcir)
+        assert chunk.gcirs is streams.gcirs
+        assert chunk.gcirs.any()
+        assert not _monolithic_chunk(streams, False).gcirs.any()

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.buckets import BucketStatistics
+from repro.core.indexing import make_index
+from repro.sim.batched import GridObserver, SweepSpec
 from repro.sim.chunked import (
-    CIRTableObserver,
     GshareState,
-    ResettingCounterObserver,
-    SaturatingCounterObserver,
-    TwoLevelObserver,
+    StreamChunk,
     iter_trace_chunks,
     lagged_register_stream,
     num_chunks,
@@ -222,84 +222,94 @@ class TestSweepChunk:
         assert state.bhr == expected
 
 
-def _split_observe(observer_factory, observe, indices, correct, chunk_size):
-    """Feed (indices, correct) to a fresh observer in chunks; concatenate."""
-    observer = observer_factory()
-    parts = []
-    for start in range(0, len(indices), chunk_size):
+def _grid_statistics(spec, access_stream, chunk_size):
+    """One spec's statistics, fed to a grid observer ``chunk_size`` at a time."""
+    pcs, bhrs, correct = access_stream
+    observer = GridObserver([spec])
+    for start in range(0, len(correct), chunk_size):
         stop = start + chunk_size
-        parts.append(observe(observer, indices[start:stop], correct[start:stop]))
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        observer.observe(
+            StreamChunk(
+                trace_name="split",
+                start=start,
+                correct=correct[start:stop],
+                bhrs=bhrs[start:stop],
+                pcs=pcs[start:stop],
+            )
+        )
+    return observer.statistics()[0]
+
+
+def _assert_matches(values, access_stream, statistics):
+    expected = BucketStatistics.from_streams(
+        values, access_stream[2], num_buckets=statistics.num_buckets
+    )
+    assert np.array_equal(expected.counts, statistics.counts)
+    assert np.array_equal(expected.mispredicts, statistics.mispredicts)
 
 
 class TestObservers:
+    """The grid observer carries every table kind across chunk boundaries.
+
+    The accesses index a 64-entry table through the BHR field, so the
+    single-stream kernels over the whole stream are the reference.
+    """
+
+    INDEX = make_index("bhr", 6)
+
     @pytest.fixture(scope="class")
     def access_stream(self):
         rng = np.random.default_rng(11)
         n = 3000
-        return rng.integers(0, 64, n), rng.integers(0, 2, n).astype(np.uint8)
+        bhrs = rng.integers(0, 64, n)
+        correct = rng.integers(0, 2, n).astype(np.uint8)
+        pcs = rng.integers(0, 1 << 12, n) * 4
+        return pcs, bhrs, correct
 
     @pytest.mark.parametrize("chunk_size", [1, 17, 4096])
     def test_cir_table_observer(self, access_stream, chunk_size):
-        indices, correct = access_stream
-        mono = cir_pattern_stream(indices, correct, 5, bit_mask(5))
-        split = _split_observe(
-            lambda: CIRTableObserver(5, 64, bit_mask(5)),
-            lambda observer, i, c: observer.observe(i, c),
-            indices, correct, chunk_size,
+        _, bhrs, correct = access_stream
+        mono = cir_pattern_stream(bhrs, correct, 5, bit_mask(5))
+        split = _grid_statistics(
+            SweepSpec.pattern(self.INDEX, 5), access_stream, chunk_size
         )
-        assert np.array_equal(mono, split)
+        _assert_matches(mono, access_stream, split)
 
     @pytest.mark.parametrize("chunk_size", [1, 17, 4096])
     def test_resetting_counter_observer(self, access_stream, chunk_size):
-        indices, correct = access_stream
-        mono = resetting_counter_stream(indices, correct, maximum=8)
-        split = _split_observe(
-            lambda: ResettingCounterObserver(8, 64),
-            lambda observer, i, c: observer.observe(i, c),
-            indices, correct, chunk_size,
+        _, bhrs, correct = access_stream
+        mono = resetting_counter_stream(bhrs, correct, maximum=8)
+        split = _grid_statistics(
+            SweepSpec.resetting(self.INDEX, 8), access_stream, chunk_size
         )
-        assert np.array_equal(mono, split)
+        _assert_matches(mono, access_stream, split)
 
     @pytest.mark.parametrize("chunk_size", [1, 17, 4096])
     def test_saturating_counter_observer(self, access_stream, chunk_size):
-        indices, correct = access_stream
-        mono = saturating_counter_stream(
-            indices, correct, maximum=8, table_entries=64
+        _, bhrs, correct = access_stream
+        mono = saturating_counter_stream(bhrs, correct, maximum=8, table_entries=64)
+        split = _grid_statistics(
+            SweepSpec.saturating(self.INDEX, 8), access_stream, chunk_size
         )
-        split = _split_observe(
-            lambda: SaturatingCounterObserver(8, 64),
-            lambda observer, i, c: observer.observe(i, c),
-            indices, correct, chunk_size,
-        )
-        assert np.array_equal(mono, split)
+        _assert_matches(mono, access_stream, split)
 
     @pytest.mark.parametrize("chunk_size", [1, 17, 4096])
     def test_two_level_observer(self, access_stream, chunk_size):
-        indices, correct = access_stream
-        rng = np.random.default_rng(12)
-        pcs = rng.integers(0, 1 << 12, len(indices)) * 4
-        bhrs = rng.integers(0, 1 << 5, len(indices))
+        pcs, bhrs, correct = access_stream
         mono = two_level_pattern_stream(
-            indices, correct, pcs, bhrs,
+            bhrs, correct, pcs, bhrs,
             level1_cir_bits=5, level2_cir_bits=5,
             second_use_pc=True, second_use_bhr=True,
             level1_init=bit_mask(5), level2_init=bit_mask(5),
         )
-        observer = TwoLevelObserver(
-            5, 5, 64, second_use_pc=True, second_use_bhr=True,
-            level1_init=bit_mask(5), level2_init=bit_mask(5),
+        split = _grid_statistics(
+            SweepSpec.two_level(
+                self.INDEX, 5, second_use_pc=True, second_use_bhr=True
+            ),
+            access_stream,
+            chunk_size,
         )
-        parts = []
-        for start in range(0, len(indices), chunk_size):
-            stop = start + chunk_size
-            parts.append(
-                observer.observe(
-                    indices[start:stop], correct[start:stop],
-                    pcs[start:stop], bhrs[start:stop],
-                )
-            )
-        assert np.array_equal(mono, np.concatenate(parts))
+        _assert_matches(mono, access_stream, split)
 
 
 class TestStreamingSource:
