@@ -15,8 +15,12 @@ bandwidth, resolution latency, and squash semantics:
   because a stalled thread forfeits speculative runahead that sibling
   threads only partially absorb.
 
-Pipeline runs use the object-oriented (reference-style) machinery per
-branch, so this experiment defaults to quarter-length traces; the
+Both models read their inputs from the cache tiers: the gshare streams
+come from :func:`~repro.experiments.runner.suite_streams` (the paper's
+64K/16 geometry for dual-path, the 4K/12 small predictor for SMT), and
+the low-confidence signal is the resetting-counter stream of a
+PC-xor-BHR table over them, so only the timing models' cycle recurrence
+runs branch by branch.  The experiment keeps quarter-length traces; the
 qualitative questions (does confidence-directed speculation win?) are
 insensitive to length.
 """
@@ -24,22 +28,22 @@ insensitive to length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Sequence
 
-from repro.core.counters import ResettingCounterConfidence
-from repro.core.threshold import ThresholdConfidence
+import numpy as np
+
+from repro.core.indexing import make_index
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
+from repro.experiments.runner import suite_streams
 from repro.pipeline import (
-    DualPathPolicy,
     FrontendConfig,
     SMTConfig,
     SpeculativeFrontend,
     simulate_smt,
 )
-from repro.predictors.gshare import GsharePredictor
-from repro.workloads.ibs import load_benchmark
+from repro.sim.fast import PredictorStreams, resetting_counter_stream
 
-#: Default per-benchmark length for the (per-branch Python) pipeline runs.
+#: Default per-benchmark length of the pipeline runs (defines the report).
 PIPELINE_TRACE_LENGTH = 40_000
 
 #: Resetting-counter values treated as low confidence for dual-path forks.
@@ -102,9 +106,16 @@ class PipelineResult:
     __str__ = format
 
 
-def _make_confidence(index_bits: int) -> ThresholdConfidence:
-    estimator = ResettingCounterConfidence.paper_variant(index_bits=index_bits)
-    return ThresholdConfidence(estimator, LOW_COUNTER_VALUES)
+def _low_confidence(
+    streams: PredictorStreams, index_bits: int, low_values: Sequence[int]
+) -> np.ndarray:
+    """Per-branch low-confidence flags of a paper-variant resetting-counter
+    table (PC xor BHR index, counters 0..16) read before each update."""
+    index = make_index("pc_xor_bhr", index_bits)
+    indices = index.vectorized(
+        streams.pcs, streams.bhrs, np.zeros_like(streams.pcs)
+    )
+    return np.isin(resetting_counter_stream(indices, streams.correct), low_values)
 
 
 def run(
@@ -113,50 +124,31 @@ def run(
 ) -> PipelineResult:
     """Run both pipeline applications over the configured suite."""
     frontend_config = FrontendConfig()
+    frontend = SpeculativeFrontend(frontend_config)
     dual_path_ipc: Dict[str, "tuple[float, float]"] = {}
-    traces = []
-    for name in config.benchmarks:
-        trace = load_benchmark(name, trace_length, config.seed)
-        traces.append(trace)
-
-        baseline_frontend = SpeculativeFrontend(
-            GsharePredictor(
-                entries=config.predictor_entries,
-                history_bits=config.predictor_history_bits,
-            ),
-            frontend_config,
-        )
-        baseline = baseline_frontend.run(trace)
-
-        forked_frontend = SpeculativeFrontend(
-            GsharePredictor(
-                entries=config.predictor_entries,
-                history_bits=config.predictor_history_bits,
-            ),
-            frontend_config,
-            dual_path=DualPathPolicy(_make_confidence(config.ct_index_bits)),
-        )
-        forked = forked_frontend.run(trace)
+    suite = suite_streams(config.scaled(trace_length=trace_length))
+    for name, streams in suite.items():
+        low = _low_confidence(streams, config.ct_index_bits, LOW_COUNTER_VALUES)
+        baseline = frontend.run(streams.pcs, streams.correct)
+        forked = frontend.run(streams.pcs, streams.correct, low)
         dual_path_ipc[name] = (baseline.ipc, forked.ipc)
 
-    smt_traces = traces[:SMT_THREADS]
+    small = config.small_predictor.scaled(
+        trace_length=trace_length, benchmarks=config.benchmarks[:SMT_THREADS]
+    )
+    threads = list(suite_streams(small).values())
+    pcs = [streams.pcs for streams in threads]
+    correct = [streams.correct for streams in threads]
+    low = [
+        _low_confidence(streams, small.ct_index_bits, SMT_LOW_COUNTER_VALUES)
+        for streams in threads
+    ]
 
     def smt_run(gated: bool):
-        predictors = [
-            GsharePredictor(entries=1 << 12, history_bits=12)
-            for _ in smt_traces
-        ]
-        confidences = [
-            ThresholdConfidence(
-                ResettingCounterConfidence.paper_variant(index_bits=12),
-                SMT_LOW_COUNTER_VALUES,
-            )
-            for _ in smt_traces
-        ]
         return simulate_smt(
-            smt_traces,
-            predictors,
-            confidences,
+            pcs,
+            correct,
+            low,
             config=SMTConfig(
                 frontend=frontend_config, gate_on_low_confidence=gated
             ),

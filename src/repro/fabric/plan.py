@@ -243,7 +243,7 @@ def plan_digest(
 #: lands.  Unlisted experiments get :data:`DEFAULT_REPORT_WEIGHT`.
 REPORT_WEIGHTS: Dict[str, float] = {
     "ablation-trace-length": 7.0,   # fixed 20k-160k sweep, length-invariant
-    "extension-pipeline": 3.0,
+    "extension-pipeline": 1.5,
     "ablation-suite-seed": 1.0,
     "ablation-indexing": 0.3,
     "extension-metrics": 0.3,

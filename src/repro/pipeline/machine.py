@@ -1,6 +1,10 @@
 """Single-thread speculative frontend timing model.
 
-The model tracks fetch *slots* (one instruction per slot,
+The model takes the two per-branch facts the paper's applications need
+— was the prediction correct, and was the branch flagged low-confidence
+— as arrays, so the predictor and the confidence table run once, on the
+cached streams of :mod:`repro.sim`, and only the cycle recurrence below
+stays sequential.  It tracks fetch *slots* (one instruction per slot,
 ``fetch_width`` slots per cycle) along the predicted path:
 
 * every dynamic branch is preceded by a deterministic per-site run of
@@ -10,8 +14,10 @@ The model tracks fetch *slots* (one instruction per slot,
 * on a misprediction, every slot fetched after the branch and before its
   resolution is squashed, and fetch redirects at the resolution cycle
   plus ``redirect_penalty``;
-* with a :class:`DualPathPolicy`, a branch flagged low-confidence at
-  fetch time (and no other fork outstanding) forks: until it resolves, a
+* given a ``low`` signal, a branch flagged low-confidence forks when no
+  other fork is outstanding.  The model allows exactly one outstanding
+  fork: the paper's selective dual-path discussion assumes two threads,
+  the predicted path and one alternate.  Until the fork resolves, a
   secondary fetch port of ``alternate_width`` slots/cycle follows the
   non-predicted path (the paper's premise: dual-path uses resources that
   "would be unused anyway"), stealing ``fork_primary_loss`` of the
@@ -29,13 +35,11 @@ bandwidth/latency trade-offs the applications measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
+import numpy as np
+from numpy.typing import ArrayLike
 
-from repro.core.threshold import ThresholdConfidence
-from repro.predictors.base import BranchPredictor
-from repro.traces.trace import Trace
-from repro.utils.bits import bit_mask
 from repro.utils.validation import check_positive
 
 
@@ -72,20 +76,11 @@ class FrontendConfig:
         if not 0.0 <= self.fork_primary_loss < 1.0:
             raise ValueError("fork_primary_loss must be within [0, 1)")
 
-    def block_size(self, pc: int) -> int:
+    def block_size(self, pc):
         """Instructions in the fetch block ending at the branch at ``pc``
-        (the non-branch run plus the branch itself)."""
+        (the non-branch run plus the branch itself); ``pc`` may be an
+        int64 array, giving one size per branch."""
         return self.min_block + (pc >> 2) % self.block_spread + 1
-
-
-@dataclass(frozen=True)
-class DualPathPolicy:
-    """Fork-both-paths policy driven by a binary confidence signal."""
-
-    confidence: ThresholdConfidence
-    #: At most this many forks may be outstanding (the paper's selective
-    #: dual-path discussion assumes a two-thread limit, i.e. one fork).
-    max_outstanding_forks: int = 1
 
 
 @dataclass(frozen=True)
@@ -120,29 +115,59 @@ class FrontendReport:
         return self.ipc / baseline.ipc if baseline.ipc else 0.0
 
 
+def branch_lists(
+    config: FrontendConfig,
+    pcs: ArrayLike,
+    correct: ArrayLike,
+    low: Optional[ArrayLike] = None,
+) -> Tuple[List[int], List[bool], List[bool]]:
+    """Per-branch fetch-block sizes, correctness and low-confidence flags
+    as plain lists, the recurrence's inputs (``low`` all false if absent).
+    """
+    pcs = np.asarray(pcs, dtype=np.int64)
+    arrays = [pcs, np.asarray(correct, dtype=bool)]
+    if low is not None:
+        arrays.append(np.asarray(low, dtype=bool))
+    lengths = [len(array) for array in arrays]
+    if len(set(lengths)) > 1:
+        names = "pcs, correct and low" if low is not None else "pcs and correct"
+        raise ValueError(
+            f"{names} must have equal lengths, got "
+            f"{', '.join(map(str, lengths))}"
+        )
+    lows = arrays[2].tolist() if low is not None else [False] * len(pcs)
+    return config.block_size(pcs).tolist(), arrays[1].tolist(), lows
+
+
 class SpeculativeFrontend:
-    """Drives a predictor (and optional dual-path policy) over a trace."""
+    """Runs the fetch/resolve/squash recurrence over per-branch arrays."""
 
-    def __init__(
-        self,
-        predictor: BranchPredictor,
-        config: FrontendConfig = FrontendConfig(),
-        dual_path: Optional[DualPathPolicy] = None,
-        history_bits: int = 16,
-    ) -> None:
-        self._predictor = predictor
+    def __init__(self, config: FrontendConfig = FrontendConfig()) -> None:
         self._config = config
-        self._dual_path = dual_path
-        self._history_mask = bit_mask(history_bits)
 
-    def run(self, trace: Trace) -> FrontendReport:
-        """Simulate the frontend over ``trace`` and report timing."""
+    def run(
+        self,
+        pcs: ArrayLike,
+        correct: ArrayLike,
+        low: Optional[ArrayLike] = None,
+    ) -> FrontendReport:
+        """Simulate the frontend over one branch stream and report timing.
+
+        ``correct[i]`` says whether branch ``i`` was predicted correctly;
+        ``low[i]``, when given, flags it low-confidence at fetch time and
+        enables forking.
+        """
         config = self._config
-        predictor = self._predictor
-        policy = self._dual_path
+        blocks, corrects, lows = branch_lists(config, pcs, correct, low)
         width = float(config.fetch_width)
         resolve_latency = float(config.resolve_latency)
         redirect_penalty = float(config.redirect_penalty)
+        alternate_width = float(config.alternate_width)
+        primary_loss = float(config.fork_primary_loss)
+        #: Correct-path slots the alternate port banks during a fork's
+        #: speculation window.
+        alternate_slots = alternate_width * resolve_latency
+        head_start = min(alternate_slots / width, resolve_latency)
 
         clock = 0.0                  # fetch-time in cycles (fractional)
         retired = 0
@@ -152,15 +177,8 @@ class SpeculativeFrontend:
         covered = 0
         #: Resolution time of the currently outstanding fork, if any.
         fork_resolves_at: Optional[float] = None
-        bhr = 0
 
-        alternate_width = float(config.alternate_width)
-        primary_loss = float(config.fork_primary_loss)
-
-        pcs = trace.pcs.tolist()
-        outcomes = trace.outcomes.tolist()
-        for pc, outcome in zip(pcs, outcomes):
-            block = config.block_size(pc)
+        for block, is_correct, is_low in zip(blocks, corrects, lows):
             # While a fork is outstanding, the primary port runs slightly
             # degraded (the alternate path contends for cache bandwidth).
             if fork_resolves_at is not None and clock < fork_resolves_at:
@@ -168,28 +186,13 @@ class SpeculativeFrontend:
             else:
                 effective_width = width
                 fork_resolves_at = None
-            fetch_cycles = block / effective_width
-            fetch_done = clock + fetch_cycles
-
-            prediction = predictor.predict(pc, bhr)
-            correct = prediction == outcome
-
-            fork_this = False
-            if policy is not None and fork_resolves_at is None:
-                signal = policy.confidence.signal(pc, bhr, 0)
-                if signal == 0:  # LOW confidence
-                    fork_this = True
-            if policy is not None:
-                policy.confidence.update(pc, bhr, 0, correct)
-
+            fetch_done = clock + block / effective_width
             retired += block
-            if fork_this:
+
+            if is_low and fork_resolves_at is None:
                 forks += 1
                 resolve_at = fetch_done + resolve_latency
-                #: Correct-path slots the alternate port banks during the
-                #: speculation window.
-                alternate_slots = alternate_width * resolve_latency
-                if correct:
+                if is_correct:
                     # The alternate-path slots were down the wrong path.
                     squashed += alternate_slots
                     fork_resolves_at = resolve_at
@@ -203,30 +206,22 @@ class SpeculativeFrontend:
                     # so fetch resumes *ahead* by that many slots — and
                     # without a redirect penalty.
                     squashed += effective_width * resolve_latency
-                    head_start = min(
-                        alternate_slots / width, resolve_latency
-                    )
                     clock = resolve_at - head_start
-                    fork_resolves_at = None
-            elif correct:
+            elif is_correct:
                 clock = fetch_done
             else:
                 mispredictions += 1
-                resolve_at = fetch_done + resolve_latency
                 # All slots fetched between this branch and its resolution
                 # go down the wrong path.
                 squashed += effective_width * resolve_latency
-                clock = resolve_at + redirect_penalty
+                clock = fetch_done + resolve_latency + redirect_penalty
                 fork_resolves_at = None
-
-            predictor.update(pc, bhr, outcome)
-            bhr = ((bhr << 1) | outcome) & self._history_mask
 
         return FrontendReport(
             cycles=clock,
             retired_instructions=retired,
             squashed_slots=squashed,
-            branches=len(trace),
+            branches=len(blocks),
             mispredictions=mispredictions,
             forks=forks,
             covered_mispredictions=covered,

@@ -1,9 +1,12 @@
 """Multi-thread (SMT) fetch arbitration with confidence gating.
 
-N threads share one fetch port.  Each thread runs its own trace,
-predictor, and (optionally) confidence estimator.  The arbiter grants
-the port block-by-block to the ready thread that has been waiting
-longest (round-robin by readiness time).
+N threads share one fetch port.  Each thread is one branch stream: its
+PCs, whether each prediction was correct, and (optionally) whether each
+branch was flagged low-confidence — the per-branch arrays the engine's
+cached streams provide, so only the arbitration recurrence below runs
+branch by branch.  The arbiter grants the port block-by-block to the
+ready thread that has been waiting longest (round-robin by readiness
+time).
 
 Thread semantics per grant:
 
@@ -13,7 +16,7 @@ Thread semantics per grant:
   branches; blocks fetched after a branch that later resolves
   mispredicted are wrong-path — they occupy the port and are squashed,
   and the thread refetches them after the resolution;
-* **gated**: after fetching a branch whose confidence signal is LOW, a
+* **gated**: after fetching a branch flagged low-confidence, a
   thread removes itself from arbitration until that branch resolves.
   Covered mispredictions waste no port time; the price is the lost
   overlap when a gated branch was in fact predicted correctly — which
@@ -25,14 +28,13 @@ per port-cycle does each policy sustain over the same work?
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.core.threshold import ThresholdConfidence
-from repro.pipeline.machine import FrontendConfig
-from repro.predictors.base import BranchPredictor
-from repro.traces.trace import Trace
-from repro.utils.bits import bit_mask
+from numpy.typing import ArrayLike
+
+from repro.pipeline.machine import FrontendConfig, branch_lists
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class SMTConfig:
     """Shared-port geometry (reuses the frontend block/latency model)."""
 
     frontend: FrontendConfig = FrontendConfig()
-    #: Gate fetch behind low-confidence branches when estimators are given.
+    #: Gate fetch behind branches flagged in the threads' ``low`` arrays.
     gate_on_low_confidence: bool = False
 
 
@@ -70,113 +72,94 @@ class SMTReport:
 class _Thread:
     """Arbitration state of one hardware thread."""
 
-    __slots__ = (
-        "pcs", "outcomes", "position", "predictor", "confidence",
-        "bhr", "ready_at", "barrier", "done", "finish_time",
-    )
+    __slots__ = ("blocks", "correct", "low", "position", "barrier", "finish_time")
 
     def __init__(
-        self,
-        trace: Trace,
-        predictor: BranchPredictor,
-        confidence: Optional[ThresholdConfidence],
+        self, blocks: List[int], correct: List[bool], low: List[bool]
     ) -> None:
-        self.pcs = trace.pcs.tolist()
-        self.outcomes = trace.outcomes.tolist()
+        self.blocks = blocks
+        self.correct = correct
+        self.low = low
         self.position = 0
-        self.predictor = predictor
-        self.confidence = confidence
-        self.bhr = 0
-        self.ready_at = 0.0
         #: Resolution time of the oldest unresolved *mispredicted* branch;
         #: blocks fetched before it are wrong-path.
         self.barrier: Optional[float] = None
-        self.done = len(self.pcs) == 0
         self.finish_time = 0.0
 
 
 def simulate_smt(
-    traces: Sequence[Trace],
-    predictors: Sequence[BranchPredictor],
-    confidences: Optional[Sequence[ThresholdConfidence]] = None,
+    pcs: Sequence[ArrayLike],
+    correct: Sequence[ArrayLike],
+    low: Optional[Sequence[ArrayLike]] = None,
     config: SMTConfig = SMTConfig(),
-    history_bits: int = 16,
 ) -> SMTReport:
-    """Run the shared-fetch-port arbitration to completion."""
-    if len(traces) != len(predictors):
-        raise ValueError("need one predictor per trace")
-    if confidences is not None and len(confidences) != len(traces):
-        raise ValueError("need one confidence estimator per trace")
-    if config.gate_on_low_confidence and confidences is None:
-        raise ValueError("gating requires confidence estimators")
-    if not traces:
+    """Run the shared-fetch-port arbitration to completion.
+
+    Thread ``t`` fetches the branches ``pcs[t]``; ``correct[t]`` and
+    ``low[t]`` are its per-branch correctness and low-confidence flags.
+    """
+    if len(correct) != len(pcs):
+        raise ValueError("need one correct array per thread")
+    if low is not None and len(low) != len(pcs):
+        raise ValueError("need one low array per thread")
+    if config.gate_on_low_confidence and low is None:
+        raise ValueError("gating requires low-confidence signals")
+    if not pcs:
         raise ValueError("need at least one thread")
 
     frontend = config.frontend
     width = float(frontend.fetch_width)
     resolve_latency = float(frontend.resolve_latency)
-    history_mask = bit_mask(history_bits)
+    gate_on_low = config.gate_on_low_confidence
 
-    threads = [
-        _Thread(
-            trace,
-            predictor,
-            None if confidences is None else confidences[index],
-        )
-        for index, (trace, predictor) in enumerate(zip(traces, predictors))
-    ]
+    threads: List[_Thread] = []
+    for index in range(len(pcs)):
+        try:
+            lists = branch_lists(
+                frontend, pcs[index], correct[index],
+                None if low is None else low[index],
+            )
+        except ValueError as error:
+            raise ValueError(f"thread {index}: {error}") from None
+        threads.append(_Thread(*lists))
 
     port_free = 0.0
     useful = 0
     squashed = 0.0
     gated_stalls = 0
 
-    active = [t for t in threads if not t.done]
-    while active:
-        # Round-robin by readiness: the ready thread that has waited
-        # longest (smallest ready_at) wins the port.
-        thread = min(active, key=lambda t: t.ready_at)
-        start = max(port_free, thread.ready_at)
-        pc = thread.pcs[thread.position]
-        block = frontend.block_size(pc)
-        busy = block / width
-        port_free = start + busy
+    # Round-robin by readiness: the ready thread that has waited longest
+    # (smallest ready time, then lowest index) wins the port.  The heap
+    # holds one (ready time, index) entry per unfinished thread.
+    ready = [(0.0, index) for index, thread in enumerate(threads) if thread.blocks]
+    while ready:
+        ready_at, index = ready[0]
+        thread = threads[index]
+        start = ready_at if ready_at > port_free else port_free
+        position = thread.position
+        block = thread.blocks[position]
+        port_free = start + block / width
 
         if thread.barrier is not None and start < thread.barrier:
             # Wrong-path fetch: burns the port, retires nothing, and the
             # thread stays on the same architectural branch.
             squashed += block
-            thread.ready_at = port_free
+            heapq.heapreplace(ready, (port_free, index))
             continue
         thread.barrier = None
 
-        outcome = thread.outcomes[thread.position]
-        prediction = thread.predictor.predict(pc, thread.bhr)
-        correct = prediction == outcome
         resolve_at = port_free + resolve_latency
-
-        gate = False
-        if thread.confidence is not None:
-            signal = thread.confidence.signal(pc, thread.bhr, 0)
-            gate = config.gate_on_low_confidence and signal == 0
-            thread.confidence.update(pc, thread.bhr, 0, correct)
-        thread.predictor.update(pc, thread.bhr, outcome)
-        thread.bhr = ((thread.bhr << 1) | outcome) & history_mask
-
         useful += block
-        thread.position += 1
-        if thread.position >= len(thread.pcs):
-            thread.done = True
+        thread.position = position + 1
+        if thread.position == len(thread.blocks):
             thread.finish_time = resolve_at
-            active = [t for t in active if not t.done]
-            continue
-
-        if gate:
+            heapq.heappop(ready)
+        elif gate_on_low and thread.low[position]:
             gated_stalls += 1
-            thread.ready_at = resolve_at
+            heapq.heapreplace(ready, (resolve_at, index))
         else:
-            thread.ready_at = port_free
-            if not correct:
+            heapq.heapreplace(ready, (port_free, index))
+            if not thread.correct[position]:
                 thread.barrier = resolve_at
 
     total_cycles = max(
