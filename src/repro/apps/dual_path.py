@@ -20,12 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
-from repro.core.indexing import make_index
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
 from repro.experiments.runner import suite_streams
-from repro.sim.fast import resetting_counter_stream
+from repro.sim.fast import pc_xor_bhr_counters
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,6 @@ def evaluate_dual_path(
             f"fork_threshold must be within [0, {counter_maximum}], "
             f"got {fork_threshold}"
         )
-    index_function = make_index("pc_xor_bhr", config.ct_index_bits)
 
     total_branches = 0
     total_forks = 0
@@ -120,10 +116,8 @@ def evaluate_dual_path(
     per_benchmark: Dict[str, float] = {}
 
     for name, streams in suite_streams(config).items():
-        gcirs = np.zeros(streams.num_branches, dtype=np.int64)
-        indices = index_function.vectorized(streams.pcs, streams.bhrs, gcirs)
-        counters = resetting_counter_stream(
-            indices, streams.correct, maximum=counter_maximum
+        counters = pc_xor_bhr_counters(
+            streams, config.ct_index_bits, maximum=counter_maximum
         )
         forked = counters <= fork_threshold
         mispredicted = streams.correct == 0

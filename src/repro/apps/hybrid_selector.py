@@ -4,16 +4,22 @@ Hybrid predictors (McFarling) select between two component predictors
 with an ad-hoc chooser table.  The paper suggests that comparing the
 components' *confidence* signals could yield a more systematic selector.
 
-This module simulates, over one pass per benchmark:
+This module evaluates, per benchmark:
 
 * the two components — a bimodal predictor (PC-indexed 2-bit counters)
-  and a gshare predictor;
+  and a gshare predictor.  Both are cached predictor sweeps
+  (:func:`~repro.experiments.runner.suite_streams`): gshare is the
+  suite's own sweep, bimodal the same sweep with no history bits;
 * the McFarling baseline — a PC-indexed 2-bit chooser trained toward the
   component that was right when they disagree in correctness;
 * the confidence selector — a resetting counter per component (indexed
   the same way as that component, tracking *that component's*
   correctness) selecting the component with the higher counter, ties to
   gshare.
+
+Where the components agree every selector is right exactly when they
+are, so the selectors are grouped scans (:mod:`repro.sim.kernels`) read
+only at the disagreement positions; warm runs generate no trace.
 
 The report gives all four accuracies.  Expected: both hybrids beat both
 components, and the confidence selector is competitive with (the paper
@@ -26,11 +32,16 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
-from repro.utils.bits import bit_mask
-from repro.workloads.ibs import load_benchmark
+import numpy as np
 
-_WEAKLY_TAKEN = 2
+from repro.core.indexing import PC_ALIGNMENT_BITS
+from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
+from repro.experiments.runner import suite_streams
+from repro.sim.fast import PredictorStreams, resetting_counter_stream
+from repro.sim.kernels import segmented_clamped_walk
+from repro.utils.bits import bit_mask
+
+#: A chooser counter at or above this value selects gshare.
 _CHOOSER_NEUTRAL = 2
 
 
@@ -118,102 +129,51 @@ class HybridSelectorReport:
     __str__ = format
 
 
-def _simulate_benchmark(
-    name: str,
-    length: int,
-    seed: int,
-    bimodal_entries: int,
-    gshare_entries: int,
+def _accuracies(
+    gshare: PredictorStreams,
+    bimodal_hit: np.ndarray,
     gshare_history_bits: int,
+    gshare_entries: int,
+    bimodal_entries: int,
     counter_maximum: int,
 ) -> HybridAccuracies:
-    """One fused pass: both components, chooser, per-component confidence."""
-    trace = load_benchmark(name, length, seed)
-    bimodal_mask = bimodal_entries - 1
-    gshare_mask = gshare_entries - 1
-    history_mask = bit_mask(gshare_history_bits)
+    """All four accuracies of one benchmark from its two component sweeps.
 
-    bimodal_table = [_WEAKLY_TAKEN] * bimodal_entries
-    gshare_table = [_WEAKLY_TAKEN] * gshare_entries
-    chooser_table = [_CHOOSER_NEUTRAL] * bimodal_entries
-    bimodal_confidence = [0] * bimodal_entries
-    gshare_confidence = [0] * gshare_entries
+    Only the disagreement positions train the chooser, so its clamped
+    walk runs over those alone; both confidence tables see every branch.
+    """
+    gshare_hit = gshare.correct
+    split = np.flatnonzero(gshare_hit != bimodal_hit)
+    gshare_wins = gshare_hit[split] != 0
+    both_hit = int(np.count_nonzero(gshare_hit & bimodal_hit))
 
-    bimodal_correct = 0
-    gshare_correct = 0
-    chooser_correct = 0
-    confidence_correct = 0
+    pc_index = (gshare.pcs >> PC_ALIGNMENT_BITS) & (bimodal_entries - 1)
+    chooser, _ = segmented_clamped_walk(
+        pc_index[split],
+        2 * gshare_wins.astype(np.int64) - 1,
+        0,
+        3,
+        np.full(bimodal_entries, _CHOOSER_NEUTRAL, dtype=np.int64),
+    )
+    bimodal_confidence = resetting_counter_stream(
+        pc_index, bimodal_hit, maximum=counter_maximum
+    )[split]
+    del pc_index
+    gshare_index = gshare.pcs >> PC_ALIGNMENT_BITS
+    gshare_index ^= gshare.bhrs & bit_mask(gshare_history_bits)
+    gshare_index &= gshare_entries - 1
+    gshare_confidence = resetting_counter_stream(
+        gshare_index, gshare_hit, maximum=counter_maximum
+    )[split]
 
-    pcs = trace.pcs.tolist()
-    outcomes = trace.outcomes.tolist()
-    bhr = 0
-    for pc, outcome in zip(pcs, outcomes):
-        pc_index = (pc >> 2) & bimodal_mask
-        gshare_index = ((pc >> 2) ^ (bhr & history_mask)) & gshare_mask
-
-        bimodal_prediction = bimodal_table[pc_index] >> 1
-        gshare_prediction = gshare_table[gshare_index] >> 1
-
-        bimodal_hit = bimodal_prediction == outcome
-        gshare_hit = gshare_prediction == outcome
-        bimodal_correct += bimodal_hit
-        gshare_correct += gshare_hit
-
-        # McFarling chooser: counter >= neutral selects gshare.
-        chooser_value = chooser_table[pc_index]
-        chooser_prediction = (
-            gshare_prediction if chooser_value >= _CHOOSER_NEUTRAL
-            else bimodal_prediction
-        )
-        chooser_correct += chooser_prediction == outcome
-
-        # Confidence selector: higher resetting counter wins, tie -> gshare.
-        if gshare_confidence[gshare_index] >= bimodal_confidence[pc_index]:
-            confidence_prediction = gshare_prediction
-        else:
-            confidence_prediction = bimodal_prediction
-        confidence_correct += confidence_prediction == outcome
-
-        # --- training -----------------------------------------------------
-        if gshare_hit and not bimodal_hit:
-            if chooser_value < 3:
-                chooser_table[pc_index] = chooser_value + 1
-        elif bimodal_hit and not gshare_hit:
-            if chooser_value > 0:
-                chooser_table[pc_index] = chooser_value - 1
-
-        value = bimodal_table[pc_index]
-        if outcome:
-            if value < 3:
-                bimodal_table[pc_index] = value + 1
-        elif value > 0:
-            bimodal_table[pc_index] = value - 1
-        value = gshare_table[gshare_index]
-        if outcome:
-            if value < 3:
-                gshare_table[gshare_index] = value + 1
-        elif value > 0:
-            gshare_table[gshare_index] = value - 1
-
-        if bimodal_hit:
-            if bimodal_confidence[pc_index] < counter_maximum:
-                bimodal_confidence[pc_index] += 1
-        else:
-            bimodal_confidence[pc_index] = 0
-        if gshare_hit:
-            if gshare_confidence[gshare_index] < counter_maximum:
-                gshare_confidence[gshare_index] += 1
-        else:
-            gshare_confidence[gshare_index] = 0
-
-        bhr = (bhr << 1) | outcome
-
-    n = len(trace)
+    chooser_right = (chooser >= _CHOOSER_NEUTRAL) == gshare_wins
+    confidence_right = (gshare_confidence >= bimodal_confidence) == gshare_wins
+    n = gshare.num_branches
     return HybridAccuracies(
-        bimodal=bimodal_correct / n,
-        gshare=gshare_correct / n,
-        chooser_hybrid=chooser_correct / n,
-        confidence_hybrid=confidence_correct / n,
+        bimodal=int(np.count_nonzero(bimodal_hit)) / n,
+        gshare=int(np.count_nonzero(gshare_hit)) / n,
+        chooser_hybrid=(both_hit + int(np.count_nonzero(chooser_right))) / n,
+        confidence_hybrid=(both_hit + int(np.count_nonzero(confidence_right))) / n,
     )
 
 
@@ -223,18 +183,34 @@ def evaluate_hybrid_selector(
     counter_maximum: int = 16,
     benchmarks: Optional["tuple[str, ...]"] = None,
 ) -> HybridSelectorReport:
-    """Compare selection schemes across the suite."""
-    names = benchmarks if benchmarks is not None else config.benchmarks
+    """Compare selection schemes across the suite.
+
+    The gshare component is the suite's cached predictor sweep; the
+    bimodal component is the same sweep with ``bimodal_entries`` entries
+    and no history bits (a gshare without history indexes by PC alone).
+    """
+    if benchmarks is not None:
+        config = config.scaled(benchmarks=tuple(benchmarks))
+    if bimodal_entries < 1 or bimodal_entries & (bimodal_entries - 1):
+        raise ValueError(
+            f"bimodal_entries must be a power of two, got {bimodal_entries}"
+        )
+    if not 1 <= counter_maximum <= 30:
+        raise ValueError(
+            f"counter_maximum must be within [1, 30], got {counter_maximum}"
+        )
+    bimodal = suite_streams(
+        config.scaled(predictor_entries=bimodal_entries, predictor_history_bits=0)
+    )
     per_benchmark = {
-        name: _simulate_benchmark(
-            name,
-            config.trace_length,
-            config.seed,
-            bimodal_entries=bimodal_entries,
-            gshare_entries=config.predictor_entries,
+        name: _accuracies(
+            streams,
+            bimodal[name].correct,
             gshare_history_bits=config.predictor_history_bits,
+            gshare_entries=config.predictor_entries,
+            bimodal_entries=bimodal_entries,
             counter_maximum=counter_maximum,
         )
-        for name in names
+        for name, streams in suite_streams(config).items()
     }
     return HybridSelectorReport(per_benchmark=per_benchmark)

@@ -27,10 +27,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.indexing import make_index
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
 from repro.experiments.runner import ones_init, suite_streams
-from repro.sim.fast import cir_pattern_stream, resetting_counter_stream
+from repro.sim.fast import (
+    cir_pattern_stream,
+    pc_xor_bhr_indices,
+    resetting_counter_stream,
+)
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,6 @@ def evaluate_reverser(
     """Evaluate reversal policies over the suite with a train/test split."""
     if benchmarks is not None:
         config = config.scaled(benchmarks=tuple(benchmarks))
-    index_function = make_index("pc_xor_bhr", config.ct_index_bits)
     init = ones_init(config)
 
     eval_total = 0
@@ -141,8 +143,7 @@ def evaluate_reverser(
     per_benchmark_gain: Dict[str, float] = {}
 
     for name, streams in suite_streams(config).items():
-        gcirs = np.zeros(streams.num_branches, dtype=np.int64)
-        indices = index_function.vectorized(streams.pcs, streams.bhrs, gcirs)
+        indices = pc_xor_bhr_indices(streams, config.ct_index_bits)
         counters = resetting_counter_stream(
             indices, streams.correct, maximum=counter_maximum
         )

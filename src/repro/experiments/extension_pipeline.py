@@ -32,7 +32,6 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.core.indexing import make_index
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
 from repro.experiments.runner import suite_streams
 from repro.pipeline import (
@@ -41,7 +40,7 @@ from repro.pipeline import (
     SpeculativeFrontend,
     simulate_smt,
 )
-from repro.sim.fast import PredictorStreams, resetting_counter_stream
+from repro.sim.fast import PredictorStreams, pc_xor_bhr_counters
 
 #: Default per-benchmark length of the pipeline runs (defines the report).
 PIPELINE_TRACE_LENGTH = 40_000
@@ -111,11 +110,7 @@ def _low_confidence(
 ) -> np.ndarray:
     """Per-branch low-confidence flags of a paper-variant resetting-counter
     table (PC xor BHR index, counters 0..16) read before each update."""
-    index = make_index("pc_xor_bhr", index_bits)
-    indices = index.vectorized(
-        streams.pcs, streams.bhrs, np.zeros_like(streams.pcs)
-    )
-    return np.isin(resetting_counter_stream(indices, streams.correct), low_values)
+    return np.isin(pc_xor_bhr_counters(streams, index_bits), low_values)
 
 
 def run(

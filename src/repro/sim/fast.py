@@ -38,7 +38,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.core.indexing import PC_ALIGNMENT_BITS
+from repro.core.indexing import PC_ALIGNMENT_BITS, make_index
 from repro.sim.kernels import (
     flatten_and_group,
     lagged_shifts,
@@ -236,6 +236,22 @@ def resetting_counter_stream(
     init_pattern = (mask << initial) & mask
     patterns = cir_pattern_stream(indices, correct, maximum, init_pattern)
     return resetting_counts(patterns, maximum)
+
+
+def pc_xor_bhr_indices(streams: PredictorStreams, index_bits: int) -> np.ndarray:
+    """Entry of the paper's PC xor BHR confidence table each branch reads."""
+    index = make_index("pc_xor_bhr", index_bits)
+    return index.vectorized(streams.pcs, streams.bhrs, np.zeros_like(streams.pcs))
+
+
+def pc_xor_bhr_counters(
+    streams: PredictorStreams, index_bits: int, maximum: int = 16
+) -> np.ndarray:
+    """Pre-update values of a PC xor BHR table of resetting counters over
+    one sweep's streams (the paper's recommended confidence table)."""
+    return resetting_counter_stream(
+        pc_xor_bhr_indices(streams, index_bits), streams.correct, maximum=maximum
+    )
 
 
 def final_cir_patterns(
